@@ -253,24 +253,39 @@ def _compute_poly_output(poly: Poly, fmt: str) -> str:
     return json.dumps(poly.to_decimal_strings(), separators=(",", ":"))
 
 
+def _int_args(args, *names):
+    values = []
+    for nm in names:
+        raw = getattr(args, nm)
+        if raw is None:
+            raise UsageError(f"compute {args.object} requires --{nm}")
+        try:
+            values.append(int(raw))
+        except ValueError:
+            raise UsageError(f"--{nm} must be an integer, got {raw!r}") from None
+    return values
+
+
 def cmd_compute(args) -> int:
+    try:
+        _compute(args)
+    except ValueError as e:
+        # the generators reject out-of-range sizes with ValueError
+        raise UsageError(f"compute {args.object}: {e}") from None
+    return EXIT_OK
+
+
+def _compute(args):
     obj = args.object.replace("-", "_")
     fmt = args.format
-
-    def need(*names):
-        for nm in names:
-            if getattr(args, nm) is None:
-                raise UsageError(f"compute {args.object} requires --{nm}")
-        return [int(getattr(args, nm)) for nm in names]
-
     if obj == "cyclotomic":
-        (n,) = need("n")
+        (n,) = _int_args(args, "n")
         _write_out(_compute_poly_output(cyclotomic(n), fmt), args.output)
     elif obj == "qbinomial":
-        n, k = need("n", "k")
+        n, k = _int_args(args, "n", "k")
         _write_out(_compute_poly_output(q_binomial(n, k), fmt), args.output)
     elif obj == "euler_numbers":
-        (count,) = need("count")
+        (count,) = _int_args(args, "count")
         values = euler_numbers(count)
         if fmt == "json":
             text = json.dumps([str(v) for v in values], separators=(",", ":"))
@@ -278,7 +293,7 @@ def cmd_compute(args) -> int:
             text = ",".join(str(v) for v in values)
         _write_out(text, args.output)
     elif obj == "lehmer_euler":
-        r, alpha, count = need("r", "alpha", "count")
+        r, alpha, count = _int_args(args, "r", "alpha", "count")
         values = lehmer_euler_numbers(r, alpha, count)
         if fmt == "csv":
             buf = io.StringIO()
@@ -301,14 +316,10 @@ def cmd_compute(args) -> int:
             text = ",".join(str(v) for v in values)
         _write_out(text, args.output)
     elif obj == "m_star":
-        n, alpha = need("n", "alpha")
-        try:
-            _write_out(str(m_star(n, alpha)), args.output)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
+        n, alpha = _int_args(args, "n", "alpha")
+        _write_out(str(m_star(n, alpha)), args.output)
     else:
         raise UsageError(f"unknown compute object {args.object!r}")
-    return EXIT_OK
 
 
 def cmd_report(args) -> int:
@@ -377,13 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_jobs = int(os.environ.get("QCONG_JOBS", "1"))
-
     def add_common(p):
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="text")
         p.add_argument("--output", metavar="FILE", default=None)
-        p.add_argument("--jobs", type=int, default=default_jobs)
+        p.add_argument("--jobs", type=int, default=None,
+                       help="worker processes, clamped to [1, cpu count]"
+                       " (default: $QCONG_JOBS or 1)")
 
     pv = sub.add_parser("verify", help="check statements over parameter grids")
     pv.add_argument("--statement", required=True,
@@ -421,6 +432,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def resolve_jobs(jobs):
+    """--jobs, else $QCONG_JOBS, else 1; clamped to [1, os.cpu_count()]."""
+    if jobs is None:
+        raw = os.environ.get("QCONG_JOBS", "1")
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise UsageError(
+                f"QCONG_JOBS must be an integer, got {raw!r}"
+            ) from None
+    return max(1, min(jobs, os.cpu_count() or 1))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -429,6 +453,8 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors and 0 for --help
         return int(e.code or 0)
     try:
+        if hasattr(args, "jobs"):
+            args.jobs = resolve_jobs(args.jobs)
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

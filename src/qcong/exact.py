@@ -4,12 +4,41 @@ Three layers: dense integer polynomials (Poly), polynomials with a signed
 power-of-q shift (LaurentPoly), and reduced fractions of those (QExpr).
 Everything is immutable and hashable, and every operation is exact; there
 is no floating point anywhere in this module.
+
+The three hot loops hand their work to CPython's bigint arithmetic, and
+every fast result carries a certificate:
+
+- Multiplication of long operands uses Kronecker substitution: both
+  polynomials are evaluated at 2^k, the integers are multiplied, and the
+  product's balanced base-2^k digits are read back. k bounds every
+  product coefficient, so the digits are the coefficients.
+- Exact division by a long divisor packs both operands at 2^k and takes
+  the integer divmod. A nonzero remainder proves non-divisibility; a
+  quotient is accepted only when multiplying it back reproduces the
+  dividend. Otherwise k is widened a few times, then schoolbook long
+  division decides.
+- gcd_rational runs the heuristic gcd GCDHEU of Char, Geddes and Gonnet:
+  an integer gcd of values at a large point xi, rebuilt from symmetric
+  base-xi digits and accepted only when it divides both inputs. Otherwise
+  the primitive pseudo-remainder sequence decides.
+
+Short operands keep the schoolbook loops, which are faster there.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
+
+# Operand lengths from which the Kronecker paths beat the schoolbook loops;
+# see the measurement recorded in CHANGES.md.
+_KRONECKER_MUL_MIN_LEN = 4
+_KRONECKER_DIV_MIN_LEN = 4
+# Widths (division) and evaluation points (gcd) tried before long division
+# or the PRS decides.
+_KRONECKER_DIV_TRIES = 4
+_HEU_GCD_TRIES = 6
 
 
 class NotDivisibleError(ArithmeticError):
@@ -29,6 +58,135 @@ def _strip(coeffs):
     while n and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
+
+
+def _mk(coeffs) -> "Poly":
+    # Trusted constructor for coefficient sequences built inside this
+    # module: every entry is already an int, so only trailing zeros go.
+    p = object.__new__(Poly)
+    p._c = _strip(coeffs)
+    return p
+
+
+def _norm(c) -> int:
+    return max(max(c), -min(c))
+
+
+def _max_bits(c) -> int:
+    return _norm(c).bit_length()
+
+
+# struct codes for the slot widths that pack and unpack in one C call
+_STRUCT_CODE = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _width(bits: int) -> int:
+    """Bytes per slot for signed values of absolute value below 2^bits."""
+    w = bits // 8 + 1
+    if w <= 8:
+        w = 1 << (w - 1).bit_length()
+    return w
+
+
+def _offset(n: int, w: int) -> int:
+    # 2^(8w-1) in each of n slots: balanced digit d sits as d + 2^(8w-1)
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _pack(c, w: int) -> int:
+    """c evaluated at 2^(8w); every |c_i| must be below 2^(8w-1)."""
+    code = _STRUCT_CODE.get(w)
+    if code:
+        raw = struct.pack(f"<{len(c)}{code}", *c)
+    else:
+        raw = b"".join([x.to_bytes(w, "little", signed=True) for x in c])
+    # flipping each slot's top bit turns two's complement into d + 2^(8w-1)
+    off = _offset(len(c), w)
+    return (int.from_bytes(raw, "little") ^ off) - off
+
+
+def _unpack(v: int, n: int, w: int):
+    """The n balanced base-2^(8w) digits of v, or None when v needs more."""
+    off = _offset(n, w)
+    v += off
+    if v < 0 or v.bit_length() > 8 * w * n:
+        return None
+    raw = (v ^ off).to_bytes(n * w, "little")
+    code = _STRUCT_CODE.get(w)
+    if code:
+        return struct.unpack(f"<{n}{code}", raw)
+    fb = int.from_bytes
+    return tuple([fb(raw[i:i + w], "little", signed=True)
+                  for i in range(0, n * w, w)])
+
+
+def _kronecker_mul(a, b) -> tuple:
+    # |sum a_i b_j| < min(len) * 2^bits(a) * 2^bits(b)
+    bits = _max_bits(a) + _max_bits(b) + min(len(a), len(b)).bit_length()
+    w = _width(bits)
+    return _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w)
+
+
+def _schoolbook_mul(a, b) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _kronecker_div(a, b):
+    """Certified exact quotient a / b in Z[q] by Kronecker substitution.
+
+    Returns the quotient's coefficients, None when b provably does not
+    divide a, or False when no width tried gave a certified answer.
+    """
+    n = len(a) - len(b) + 1
+    bits = max(_max_bits(a), _max_bits(b)) + len(a).bit_length()
+    for _ in range(_KRONECKER_DIV_TRIES):
+        w = _width(bits)
+        qv, r = divmod(_pack(a, w), _pack(b, w))
+        if r:
+            # b | a in Z[q] forces b(2^k) | a(2^k) in Z for every k
+            return None
+        q = _unpack(qv, n, w)
+        # The quotient's coefficients may outgrow 2^(k-1), so only a
+        # multiply-back proves the digits read are the quotient. At this
+        # width it costs no product: q(2^k) b(2^k) = qv b(2^k) = a(2^k), so
+        # when 2^(k-1) also bounds every coefficient of q*b, both q*b and a
+        # are the balanced digits of one integer and q*b = a.
+        if q is not None and q[-1] and (
+                _max_bits(q) + _max_bits(b) + min(n, len(b)).bit_length()
+                < 8 * w or _kronecker_mul(q, b) == a):
+            return q
+        bits *= 2
+    return False
+
+
+def _long_div(a, b):
+    # Long division in Z[q]; returns the quotient's coefficients or None
+    # when either a leading coefficient fails to divide or a remainder
+    # survives.
+    db = len(b) - 1
+    lb = b[-1]
+    rem = list(a)
+    dr = len(rem) - 1
+    q = [0] * (dr - db + 1)
+    while dr >= db:
+        lead = rem[dr]
+        if lead:
+            step, r = divmod(lead, lb)
+            if r:
+                return None
+            q[dr - db] = step
+            off = dr - db
+            for i, c in enumerate(b):
+                rem[off + i] -= step * c
+        dr -= 1
+    if any(rem):
+        return None
+    return q
 
 
 class Poly:
@@ -62,10 +220,6 @@ class Poly:
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")
         return cls((0,) * degree + (coeff,))
-
-    @classmethod
-    def from_decimal_strings(cls, strings) -> "Poly":
-        return cls(int(s) for s in strings)
 
     def to_decimal_strings(self) -> list[str]:
         return [str(c) for c in self._c]
@@ -112,11 +266,11 @@ class Poly:
         return hash(self._c)
 
     def __neg__(self):
-        return Poly(-c for c in self._c)
+        return _mk(tuple([-c for c in self._c]))
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = Poly((other,))
+            other = _mk((other,))
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self._c, other._c
@@ -125,13 +279,13 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return _mk(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, int):
-            other = Poly((other,))
+            other = _mk((other,))
         if not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
@@ -143,18 +297,15 @@ class Poly:
         if isinstance(other, int):
             if other == 0:
                 return ZERO
-            return Poly(other * c for c in self._c)
+            return _mk(tuple([other * c for c in self._c]))
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self._c, other._c
         if not a or not b:
             return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return Poly(out)
+        if min(len(a), len(b)) >= _KRONECKER_MUL_MIN_LEN:
+            return _mk(_kronecker_mul(a, b))
+        return _mk(_schoolbook_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -176,36 +327,23 @@ class Poly:
             raise ValueError("shift must be nonnegative")
         if not self._c:
             return self
-        return Poly((0,) * k + self._c)
+        return _mk((0,) * k + self._c)
 
     def _div_core(self, other: "Poly"):
-        # Long division in Z[q]; returns the quotient or None when either
-        # a leading coefficient fails to divide or a remainder survives.
-        if not other:
+        # Exact quotient in Z[q], or None when other does not divide self.
+        a, b = self._c, other._c
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        if not self:
+        if not a:
             return ZERO
-        db = other.degree
-        lb = other._c[-1]
-        rem = list(self._c)
-        dr = len(rem) - 1
-        q = [0] * (dr - db + 1) if dr >= db else None
-        if q is None:
+        if len(a) < len(b):
             return None
-        while dr >= db:
-            lead = rem[dr]
-            if lead:
-                step, r = divmod(lead, lb)
-                if r:
-                    return None
-                q[dr - db] = step
-                off = dr - db
-                for i, c in enumerate(other._c):
-                    rem[off + i] -= step * c
-            dr -= 1
-        if any(rem):
-            return None
-        return Poly(q)
+        if len(b) >= _KRONECKER_DIV_MIN_LEN:
+            q = _kronecker_div(a, b)
+            if q is not False:
+                return None if q is None else _mk(q)
+        q = _long_div(a, b)
+        return None if q is None else _mk(q)
 
     def exact_div(self, other: "Poly") -> "Poly":
         """Exact quotient in Z[q].
@@ -236,7 +374,7 @@ class Poly:
         g = self.content()
         if g <= 1:
             return self
-        return Poly(c // g for c in self._c)
+        return _mk(tuple([c // g for c in self._c]))
 
     def scaled_down(self, d: int) -> "Poly":
         """Divide every coefficient by d; d must divide the content."""
@@ -248,7 +386,7 @@ class Poly:
             if r:
                 raise NotDivisibleError(f"{d} does not divide all coefficients")
             out.append(step)
-        return Poly(out)
+        return _mk(out)
 
     def __call__(self, x):
         acc = 0
@@ -294,11 +432,58 @@ def _pseudo_rem(a: Poly, b: Poly) -> Poly:
     return r
 
 
+def _prs_gcd(a: Poly, b: Poly) -> Poly:
+    # primitive pseudo-remainder sequence on primitive inputs
+    while b:
+        r = _pseudo_rem(a, b)
+        a, b = b, r.primitive()
+    return a
+
+
+def _symmetric_digits(h: int, xi: int) -> list:
+    # h = sum d_i xi^i with every digit in (-xi/2, xi/2]
+    out = []
+    half = xi // 2
+    while h:
+        h, d = divmod(h, xi)
+        if d > half:
+            d -= xi
+            h += 1
+        out.append(d)
+    return out
+
+
+def _heu_gcd(a: Poly, b: Poly):
+    """GCDHEU on primitive nonconstant inputs, up to sign; None when no
+    point tried gave a certified gcd.
+
+    Char, Geddes and Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm
+    based on integer GCD computation", J. Symbolic Comput. 7 (1989) 31-48,
+    Theorem 1 (also Geddes, Czapor and Labahn, "Algorithms for Computer
+    Algebra", 1992, Theorem 7.7): for primitive a, b and an integer
+    xi > 1 + 2 min(|a|_inf, |b|_inf), let G be the primitive part of the
+    polynomial whose symmetric base-xi digits are gcd(a(xi), b(xi)). If G
+    divides both a and b, then G is their gcd. The start point
+    2 min(...) + 29 lies above that bound, and xi only grows.
+    """
+    xi = 2 * min(_norm(a._c), _norm(b._c)) + 29
+    for _ in range(_HEU_GCD_TRIES):
+        h = math.gcd(a(xi), b(xi))
+        g = _mk(_symmetric_digits(h, xi)).primitive()
+        if len(g) == 1 or (a._div_core(g) is not None
+                           and b._div_core(g) is not None):
+            return g
+        # growth factor of Char, Geddes and Gonnet
+        xi = xi * 73794 // 27011
+    return None
+
+
 def gcd_rational(a: Poly, b: Poly) -> Poly:
     """Primitive gcd in Q[q], returned with positive leading coefficient.
 
     Integer content of the inputs is ignored: gcd_rational(2*p, 4*p) is the
-    primitive part of p. Uses the primitive pseudo-remainder sequence.
+    primitive part of p. Tries the heuristic gcd GCDHEU first and falls
+    back to the primitive pseudo-remainder sequence.
 
     >>> gcd_rational(Poly([-1, 0, 1]), Poly([1, 2, 1]))
     Poly([1, 1])
@@ -307,12 +492,15 @@ def gcd_rational(a: Poly, b: Poly) -> Poly:
         raise BothZeroError("gcd of two zero polynomials")
     a = a.primitive()
     b = b.primitive()
-    while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, r.primitive()
-    if a.leading < 0:
-        a = -a
-    return a
+    if not a or not b:
+        g = a or b
+    elif len(a) == 1 or len(b) == 1:
+        return ONE
+    else:
+        g = _heu_gcd(a, b) or _prs_gcd(a, b)
+    if g.leading < 0:
+        g = -g
+    return g
 
 
 class LaurentPoly:
@@ -326,7 +514,7 @@ class LaurentPoly:
 
     def __init__(self, base: Poly, shift: int = 0):
         if not isinstance(base, Poly):
-            base = Poly((base,)) if isinstance(base, int) else base
+            base = _mk((base,)) if isinstance(base, int) else base
         if not isinstance(base, Poly):
             raise TypeError("base must be a Poly or int")
         if not base:
@@ -337,7 +525,7 @@ class LaurentPoly:
         while base._c[v] == 0:
             v += 1
         if v:
-            base = Poly(base._c[v:])
+            base = _mk(base._c[v:])
         self._base = base
         self._shift = shift + v
 
@@ -435,20 +623,20 @@ L_ONE = LaurentPoly(ONE)
 
 
 def _as_laurent(x):
-    """Coerce x to (LaurentPoly, positive integer denominator)."""
+    """Coerce an int, Poly or LaurentPoly to a LaurentPoly."""
     if isinstance(x, LaurentPoly):
         return x
     if isinstance(x, Poly):
         return LaurentPoly(x)
     if isinstance(x, int):
-        return LaurentPoly(Poly((x,)))
+        return LaurentPoly(_mk((x,)))
     raise TypeError(f"cannot interpret {type(x).__name__} as a Laurent polynomial")
 
 
 def _split(x):
     # -> (LaurentPoly, int denominator)
     if isinstance(x, Fraction):
-        return LaurentPoly(Poly((x.numerator,))), x.denominator
+        return LaurentPoly(_mk((x.numerator,))), x.denominator
     return _as_laurent(x), 1
 
 

@@ -9,6 +9,7 @@ from qcong.cli import (
     build_grid,
     main,
     parse_range,
+    resolve_jobs,
     resolve_variant,
 )
 from qcong.statements import REGISTRY, VerdictRecord
@@ -213,3 +214,34 @@ def test_console_module_smoke():
     assert proc.returncode == 0
     coeffs = json.loads(proc.stdout)
     assert coeffs[7] == "-2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "cyclotomic", "--n", "abc"],
+    ["compute", "cyclotomic", "--n", "0"],
+    ["compute", "euler-numbers", "--count", "-1"],
+    ["compute", "lehmer-euler", "--r", "0", "--alpha", "1", "--count", "3"],
+    ["compute", "qbinomial", "--n", "4", "--k", "x"],
+])
+def test_compute_bad_arguments_exit_two(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_qcong_jobs_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("QCONG_JOBS", "abc")
+    assert main(["verify", "--statement", "guguo", "--n", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: QCONG_JOBS must be an integer, got 'abc'\n"
+
+
+def test_jobs_clamped_below_to_one(monkeypatch, capsys):
+    monkeypatch.delenv("QCONG_JOBS", raising=False)
+    assert resolve_jobs(None) == 1
+    assert resolve_jobs(0) == 1
+    assert resolve_jobs(-4) == 1
+    monkeypatch.setenv("QCONG_JOBS", "-2")
+    assert resolve_jobs(None) == 1
+    assert main(["verify", "--statement", "guguo", "--n", "5",
+                 "--jobs", "-3"]) == 0

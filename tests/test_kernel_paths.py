@@ -1,0 +1,203 @@
+"""Differential tests: the kernel's fast paths against its reference loops.
+
+Kronecker multiplication against schoolbook multiplication, Kronecker
+exact division against long division, and GCDHEU against the primitive
+pseudo-remainder sequence, on seeded random operands on both sides of each
+crossover length. A second block cross-checks products, gcds and
+cyclotomic remainders against sympy when it is installed.
+"""
+
+import random
+
+import pytest
+
+import qcong.exact as ex
+from qcong.cyclotomic import cyclotomic, phi_valuation
+from qcong.exact import ONE, ZERO, Poly, gcd_rational
+from qcong.qcombinatorics import q_pochhammer
+
+SEED = 20240611
+
+
+def rand_coeffs(rng, length, bits):
+    """length coefficients of up to bits bits, nonzero leading one."""
+    c = [rng.randint(-(1 << bits), 1 << bits) for _ in range(length)]
+    while not c[-1]:
+        c[-1] = rng.randint(-(1 << bits), 1 << bits)
+    return tuple(c)
+
+
+def rand_poly(rng, length, bits):
+    return Poly(rand_coeffs(rng, length, bits)) if length else ZERO
+
+
+def lengths_around(crossover):
+    return sorted({1, 2, max(1, crossover - 1), crossover, crossover + 1,
+                   2 * crossover + 3})
+
+
+def test_multiply_matches_schoolbook():
+    rng = random.Random(SEED)
+    for la in lengths_around(ex._KRONECKER_MUL_MIN_LEN):
+        for lb in lengths_around(ex._KRONECKER_MUL_MIN_LEN):
+            for bits in (1, 7, 33, 64, 90):
+                a = rand_coeffs(rng, la, bits)
+                b = rand_coeffs(rng, lb, rng.randint(1, 90))
+                want = tuple(ex._schoolbook_mul(a, b))
+                assert ex._kronecker_mul(a, b) == want
+                assert (Poly(a) * Poly(b)).coeffs == want
+
+
+def test_multiply_zero_constant_and_signs():
+    rng = random.Random(SEED + 1)
+    long_poly = rand_poly(rng, 3 * ex._KRONECKER_MUL_MIN_LEN, 40)
+    assert long_poly * ZERO == ZERO and ZERO * long_poly == ZERO
+    assert long_poly * Poly([-3]) == Poly([-3 * c for c in long_poly])
+    assert (-long_poly) * (-long_poly) == long_poly * long_poly
+    # every coefficient at the extreme of its width
+    extreme = (-(1 << 90),) * (2 * ex._KRONECKER_MUL_MIN_LEN)
+    assert ex._kronecker_mul(extreme, extreme) == tuple(
+        ex._schoolbook_mul(extreme, extreme))
+
+
+def test_divide_matches_long_division():
+    rng = random.Random(SEED + 2)
+    for lb in lengths_around(ex._KRONECKER_DIV_MIN_LEN):
+        for lq in (1, 2, 9, 40):
+            for bits in (1, 20, 64, 90):
+                b = rand_coeffs(rng, lb, rng.randint(1, 90))
+                q = rand_coeffs(rng, lq, bits)
+                a = tuple(ex._schoolbook_mul(q, b))
+                # divisible: the quotient comes back exactly
+                assert ex._long_div(a, b) == list(q)
+                assert ex._kronecker_div(a, b) in (q, False)
+                assert Poly(a).try_exact_div(Poly(b)).coeffs == q
+                # not divisible: a nonzero remainder of lower degree
+                r = list(a)
+                r[rng.randrange(len(b) - 1 or 1)] += rng.choice((1, -1))
+                r = tuple(ex._strip(r))
+                if r and len(r) >= len(b):
+                    want = ex._long_div(r, b)
+                    got = ex._kronecker_div(r, b)
+                    assert got is False or got == (
+                        None if want is None else tuple(want))
+                    assert Poly(r).try_exact_div(Poly(b)) == (
+                        None if want is None else Poly(want))
+
+
+def test_divide_over_q_but_not_over_z():
+    b = Poly([2, 2] + [0] * (2 * ex._KRONECKER_DIV_MIN_LEN) + [2])
+    a = b * Poly([1, 1])
+    assert a.try_exact_div(b) == Poly([1, 1])
+    assert (a.primitive()).try_exact_div(b) is None
+    assert ex._long_div(a.primitive().coeffs, b.coeffs) is None
+
+
+def test_divide_with_quotient_far_larger_than_dividend():
+    # [48, 24]_q has ~2^38 coefficients; (q;q)_48 has small ones
+    num = q_pochhammer(1, 48)
+    den = q_pochhammer(1, 24) ** 2
+    want = ex._long_div(num.coeffs, den.coeffs)
+    assert max(map(abs, want)).bit_length() > 30
+    assert ex._kronecker_div(num.coeffs, den.coeffs) == tuple(want)
+    assert num.exact_div(den) == Poly(want)
+
+
+def test_divide_rejects_quotient_read_at_too_narrow_a_width():
+    # (1 - q^200)^4 / (1 - q)^4 = [200]^4: dividend and divisor have 3-bit
+    # coefficients, the quotient 23-bit ones, so the first width wraps them
+    num = Poly([1] + [0] * 199 + [-1]) ** 4
+    den = Poly([1, -1]) ** 4
+    want = ex._long_div(num.coeffs, den.coeffs)
+    assert max(want).bit_length() > 20
+    assert ex._kronecker_div(num.coeffs, den.coeffs) == tuple(want)
+    assert num.exact_div(den) == Poly(want)
+
+
+def test_divide_falls_back_when_widths_run_out(monkeypatch):
+    num = q_pochhammer(1, 48)
+    den = q_pochhammer(1, 24) ** 2
+    want = Poly(ex._long_div(num.coeffs, den.coeffs))
+    monkeypatch.setattr(ex, "_KRONECKER_DIV_TRIES", 1)
+    assert ex._kronecker_div(num.coeffs, den.coeffs) is False
+    assert num.exact_div(den) == want
+    assert (num + 1).try_exact_div(den) is None
+
+
+def test_divide_zero_and_short_dividend():
+    b = rand_poly(random.Random(SEED + 3), ex._KRONECKER_DIV_MIN_LEN + 2, 30)
+    assert ZERO.exact_div(b) == ZERO
+    assert Poly([5]).try_exact_div(b) is None
+    with pytest.raises(ZeroDivisionError):
+        b.try_exact_div(ZERO)
+
+
+def _gcd_cases(rng):
+    for length in (1, 2, 5, 12, 30):
+        for bits in (1, 10, 40, 90):
+            g = rand_poly(rng, length, bits)
+            u = rand_poly(rng, rng.randint(1, 25), rng.randint(1, 30))
+            v = rand_poly(rng, rng.randint(1, 25), rng.randint(1, 30))
+            yield g * u * rng.choice((1, -6)), g * v * rng.choice((1, 10))
+            yield u, v
+
+
+def test_gcd_matches_prs():
+    rng = random.Random(SEED + 4)
+    for a, b in _gcd_cases(rng):
+        want = ex._prs_gcd(a.primitive(), b.primitive())
+        if want.leading < 0:
+            want = -want
+        assert gcd_rational(a, b) == want
+        assert gcd_rational(b, a) == want
+        if a.degree > 0 and b.degree > 0:
+            heu = ex._heu_gcd(a.primitive(), b.primitive())
+            assert heu is None or heu in (want, -want)
+
+
+def test_gcd_falls_back_to_prs(monkeypatch):
+    rng = random.Random(SEED + 5)
+    cases = list(_gcd_cases(rng))
+    fast = [gcd_rational(a, b) for a, b in cases]
+    monkeypatch.setattr(ex, "_HEU_GCD_TRIES", 0)
+    assert [gcd_rational(a, b) for a, b in cases] == fast
+
+
+def test_gcd_zero_constant_and_sign():
+    p = Poly([3, -1, 4, -1, -5])
+    assert gcd_rational(ZERO, p) == -p
+    assert gcd_rational(p, ZERO) == -p
+    assert gcd_rational(Poly([-7]), p) == ONE
+    assert gcd_rational(p * 6, Poly([0, 0, 4])) == ONE
+    with pytest.raises(ex.BothZeroError):
+        gcd_rational(ZERO, ZERO)
+
+
+def test_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def to_sympy(p):
+        return sympy.Poly(list(reversed(p.coeffs)) or [0], q, domain="ZZ")
+
+    def from_sympy(p):
+        return Poly(int(c) for c in reversed(p.all_coeffs()))
+
+    rng = random.Random(SEED + 6)
+    for a, b in _gcd_cases(rng):
+        assert to_sympy(a * b) == to_sympy(a) * to_sympy(b)
+        if a and b:
+            g = sympy.gcd(to_sympy(a), to_sympy(b))
+            _, g = g.primitive()
+            if g.LC() < 0:
+                g = -g
+            assert gcd_rational(a, b) == from_sympy(g)
+    # rem(num, Phi_d^e) == 0 exactly when the Phi_d valuation reaches e
+    for d in (3, 5, 12, 25):
+        phi = cyclotomic(d)
+        sym_phi = sympy.Poly(sympy.cyclotomic_poly(d, q), q, domain="ZZ")
+        assert to_sympy(phi) == sym_phi
+        for e in (1, 2, 3):
+            num = rand_poly(rng, 30, 20) * phi ** rng.randint(0, 3)
+            rem = to_sympy(num).rem(sym_phi ** e)
+            assert rem.is_zero == (phi_valuation(num, d) >= e)

@@ -27,7 +27,6 @@ from .cyclotomic import (
     phi_valuation,
 )
 from .euler import (
-    alt_power_sum_check,
     euler_numbers,
     euler_polynomial,
     euler_polynomial_value,
@@ -35,7 +34,6 @@ from .euler import (
 )
 from .exact import (
     BothZeroError,
-    LaurentPoly,
     NotDivisibleError,
     PoleAtOneError,
     Poly,
@@ -49,7 +47,6 @@ from .qcombinatorics import (
     q_harmonic,
     q_integer,
     q_pochhammer,
-    q_power,
 )
 from .statements import (
     REGISTRY,
@@ -57,10 +54,8 @@ from .statements import (
     Statement,
     VerdictRecord,
     m_star,
-    pan_statements,
     run_cell,
     verify,
-    verify_corollary,
 )
 
 __all__ = [
@@ -69,7 +64,6 @@ __all__ = [
     "CycloModulus",
     "FactorCheck",
     "HypothesisViolation",
-    "LaurentPoly",
     "NotDivisibleError",
     "NotInvertibleError",
     "PoleAtOneError",
@@ -81,7 +75,6 @@ __all__ = [
     "Status",
     "Verdict",
     "VerdictRecord",
-    "alt_power_sum_check",
     "base_series",
     "check_congruence",
     "check_int_congruence",
@@ -97,16 +90,13 @@ __all__ = [
     "lehmer_euler_numbers",
     "m_star",
     "mobius",
-    "pan_statements",
     "phi_valuation",
     "q_binomial",
     "q_fermat_quotient",
     "q_harmonic",
     "q_integer",
     "q_pochhammer",
-    "q_power",
     "reduce_mod",
     "run_cell",
     "verify",
-    "verify_corollary",
 ]

@@ -151,10 +151,6 @@ def _write_out(text: str, path):
             fh.write("\n")
 
 
-def _records_json(records) -> str:
-    return json.dumps([r.to_dict() for r in records], indent=2)
-
-
 def _records_csv(records) -> str:
     names = [p for p in PARAM_FLAGS
              if any(p in r.param_dict for r in records)]
@@ -193,15 +189,6 @@ def _records_text(records) -> str:
     return "\n".join(lines)
 
 
-def _emit_records(records, fmt, path):
-    if fmt == "json":
-        _write_out(_records_json(records), path)
-    elif fmt == "csv":
-        _write_out(_records_csv(records), path)
-    else:
-        _write_out(_records_text(records), path)
-
-
 def _exit_from(records) -> int:
     for r in records:
         if r.hypothesis_error:
@@ -237,13 +224,13 @@ def cmd_verify(args) -> int:
         if stmt.note and any(not r.verdict.ok for r in records):
             notes.append(f"note [{stmt.tag}]: {stmt.note}")
         all_records.extend(records)
-    if args.format == "text":
-        text = _records_text(all_records)
-        if notes:
-            text = text + "\n" + "\n".join(notes)
-        _write_out(text, args.output)
+    if args.format == "json":
+        text = json.dumps([r.to_dict() for r in all_records], indent=2)
+    elif args.format == "csv":
+        text = _records_csv(all_records)
     else:
-        _emit_records(all_records, args.format, args.output)
+        text = "\n".join([_records_text(all_records), *notes])
+    _write_out(text, args.output)
     return _exit_from(all_records)
 
 

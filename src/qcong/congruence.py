@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .cyclotomic import CycloModulus, phi_valuation
-from .exact import LaurentPoly, Poly, QExpr, ZERO
+from .exact import Poly, QExpr, ZERO
 
 __all__ = [
     "CycloModulus",
@@ -140,14 +140,14 @@ def _as_qexpr(x) -> QExpr:
 def check_congruence(lhs, rhs, modulus: CycloModulus) -> Verdict:
     """Verdict for lhs = rhs modulo the cyclotomic modulus.
 
-    lhs and rhs may be QExpr, Poly, LaurentPoly, Fraction, or int. The
+    lhs and rhs may be QExpr, Poly, Fraction, or int. The
     modulus must be nonempty; a congruence mod 1 carries no content and a
     request for one is treated as a usage error.
     """
     if modulus.is_empty:
         raise ValueError("empty modulus")
     diff = _as_qexpr(lhs) - _as_qexpr(rhs)
-    nb = diff.num.base
+    nb = diff.num
     db = diff.den
     checks = []
     pole = False
@@ -299,7 +299,7 @@ class CanonicalRep:
 def reduce_mod(expr: QExpr, modulus: CycloModulus) -> CanonicalRep:
     """Unique low-degree representative of expr modulo modulus.poly().
 
-    The denominator (and the q-power unit in the numerator) are inverted
+    The denominator (and q itself, for a negative shift) are inverted
     modulo the modulus polynomial over Q, the product is reduced to degree
     below deg(modulus), and the rational content is pulled out so the
     polynomial part has integer coefficients with content 1.
@@ -313,8 +313,8 @@ def reduce_mod(expr: QExpr, modulus: CycloModulus) -> CanonicalRep:
         raise NotInvertibleError(
             f"denominator shares the factor gcd of degree {len(g) - 1} with {modulus}"
         )
-    rep = _fmulmod(_fpoly(expr.num.base), s, m)
-    shift = expr.num.shift
+    rep = _fmulmod(_fpoly(expr.num), s, m)
+    shift = expr.shift
     if shift:
         gq, sq = _fegcd([Fraction(0), Fraction(1)], m)
         assert len(gq) == 1  # q is a unit: modulus.poly()(0) = +-1

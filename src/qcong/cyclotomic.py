@@ -151,10 +151,6 @@ class CycloModulus:
     def phi(cls, d: int, e: int = 1) -> "CycloModulus":
         return cls(((d, e),))
 
-    @classmethod
-    def of(cls, mapping) -> "CycloModulus":
-        return cls(tuple(mapping.items()) if isinstance(mapping, dict) else tuple(mapping))
-
     @property
     def is_empty(self) -> bool:
         return not self.factors

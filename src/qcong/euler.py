@@ -1,18 +1,16 @@
-"""Euler numbers, Euler polynomials, higher-order Euler numbers, and the
-alternating-power-sum identity they satisfy.
+"""Euler numbers, Euler polynomials and higher-order Euler numbers.
 
 Euler polynomials come from exact truncated-series division of 2e^(xt) by
 e^t + 1 over the rationals, not from a lookup table, so every value here
-is recomputable from one definition.
+is recomputable from one definition. The alternating-power-sum identity
+and its harmonic congruence mod p that they satisfy are the statements
+identity_t0 and cong_t0a of the registry in statements.py.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from .congruence import check_int_congruence
-from .cyclotomic import is_prime
 
 
 def euler_numbers(count: int) -> list[int]:
@@ -73,20 +71,6 @@ def euler_polynomial_value(m: int, x) -> Fraction:
     return acc
 
 
-def alt_power_sum_check(m: int, n: int) -> bool:
-    """Does sum((-1)^k k^m, k=1..n) equal
-    ((-1)^n / 2)(E_m(n+1) + (-1)^n E_m(0)) exactly?
-    """
-    if m < 0 or n < 1:
-        raise ValueError("need m >= 0 and n >= 1")
-    lhs = sum((-1) ** k * k ** m for k in range(1, n + 1))
-    sign = (-1) ** n
-    rhs = Fraction(sign, 2) * (
-        euler_polynomial_value(m, n + 1) + sign * euler_polynomial_value(m, 0)
-    )
-    return Fraction(lhs) == rhs
-
-
 def higher_order_euler(alpha: int, n: int) -> Fraction:
     """Order-alpha Euler number E_n^(alpha) by the explicit double sum
 
@@ -104,23 +88,3 @@ def higher_order_euler(alpha: int, n: int) -> Fraction:
             * inner
         )
     return total
-
-
-def alt_harmonic_mod_p_check(alpha: int, p: int) -> bool:
-    """Does sum((-1)^k / k, k=1..alpha) equal
-    ((-1)^alpha / 2)(E_{p-2}(alpha+1) + (-1)^alpha E_{p-2}(0)) mod p?
-
-    All quantities are rationals with denominators coprime to p, so this
-    goes through the integer congruence engine.
-    """
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
-    if not 1 <= alpha < p:
-        raise ValueError("need 1 <= alpha < p so denominators stay coprime to p")
-    lhs = sum(Fraction((-1) ** k, k) for k in range(1, alpha + 1))
-    sign = (-1) ** alpha
-    rhs = Fraction(sign, 2) * (
-        euler_polynomial_value(p - 2, alpha + 1)
-        + sign * euler_polynomial_value(p - 2, 0)
-    )
-    return check_int_congruence(lhs, rhs, p).ok

@@ -1,7 +1,8 @@
 """Exact arithmetic in Z[q] and its fraction field.
 
-Three layers: dense integer polynomials (Poly), polynomials with a signed
-power-of-q shift (LaurentPoly), and reduced fractions of those (QExpr).
+Two layers: dense integer polynomials (Poly), and reduced fractions of
+those times a signed power of q (QExpr), which carries negative q-powers
+as an integer shift.
 Everything is immutable and hashable, and every operation is exact; there
 is no floating point anywhere in this module.
 
@@ -210,10 +211,6 @@ class Poly:
                 raise TypeError(f"integer coefficient required, got {type(x).__name__}")
             c.append(x)
         self._c = _strip(c)
-
-    @classmethod
-    def const(cls, value: int) -> "Poly":
-        return cls((value,))
 
     @classmethod
     def monomial(cls, degree: int, coeff: int = 1) -> "Poly":
@@ -503,151 +500,35 @@ def gcd_rational(a: Poly, b: Poly) -> Poly:
     return g
 
 
-class LaurentPoly:
-    """A polynomial times a signed power of q.
-
-    Stored as (base, shift) where base has a nonzero constant term, so the
-    representation is unique. The zero element has base 0 and shift 0.
-    """
-
-    __slots__ = ("_base", "_shift")
-
-    def __init__(self, base: Poly, shift: int = 0):
-        if not isinstance(base, Poly):
-            base = _mk((base,)) if isinstance(base, int) else base
-        if not isinstance(base, Poly):
-            raise TypeError("base must be a Poly or int")
-        if not base:
-            self._base = ZERO
-            self._shift = 0
-            return
-        v = 0
-        while base._c[v] == 0:
-            v += 1
-        if v:
-            base = _mk(base._c[v:])
-        self._base = base
-        self._shift = shift + v
-
-    @property
-    def base(self) -> Poly:
-        return self._base
-
-    @property
-    def shift(self) -> int:
-        return self._shift
-
-    @property
-    def degree(self):
-        return self._base.degree + self._shift if self._base else float("-inf")
-
-    def __bool__(self):
-        return bool(self._base)
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self._base == other._base and self._shift == other._shift
-        if isinstance(other, (Poly, int)):
-            return self == _as_laurent(other)
-        return NotImplemented
-
-    def __hash__(self):
-        if self._shift == 0:
-            return hash(self._base)
-        return hash((self._base, self._shift))
-
-    def __neg__(self):
-        return LaurentPoly(-self._base, self._shift)
-
-    def __add__(self, other):
-        if isinstance(other, (Poly, int)):
-            other = _as_laurent(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if not self._base:
-            return other
-        if not other._base:
-            return self
-        s = min(self._shift, other._shift)
-        return LaurentPoly(
-            self._base.shifted(self._shift - s) + other._base.shifted(other._shift - s),
-            s,
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (Poly, int)):
-            other = _as_laurent(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (Poly, int)):
-            other = _as_laurent(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly(self._base * other._base, self._shift + other._shift)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return LaurentPoly(self._base ** n, self._shift * n)
-
-    def __call__(self, x):
-        if not self._base:
-            return Fraction(0)
-        val = self._base(Fraction(x))
-        return val * Fraction(x) ** self._shift
-
-    def __str__(self):
-        if self._shift == 0:
-            return str(self._base)
-        power = "q" if self._shift == 1 else f"q^{self._shift}"
-        if self._base == ONE:
-            return power
-        return f"{power}*({self._base})"
-
-    def __repr__(self):
-        return f"LaurentPoly({self._base!r}, {self._shift})"
-
-
-L_ZERO = LaurentPoly(ZERO)
-L_ONE = LaurentPoly(ONE)
-
-
-def _as_laurent(x):
-    """Coerce an int, Poly or LaurentPoly to a LaurentPoly."""
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, Poly):
-        return LaurentPoly(x)
-    if isinstance(x, int):
-        return LaurentPoly(_mk((x,)))
-    raise TypeError(f"cannot interpret {type(x).__name__} as a Laurent polynomial")
-
-
 def _split(x):
-    # -> (LaurentPoly, int denominator)
+    # -> (Poly numerator, int denominator)
+    if isinstance(x, Poly):
+        return x, 1
+    if isinstance(x, int):
+        return _mk((x,)), 1
     if isinstance(x, Fraction):
-        return LaurentPoly(_mk((x.numerator,))), x.denominator
-    return _as_laurent(x), 1
+        return _mk((x.numerator,)), x.denominator
+    raise TypeError(f"cannot interpret {type(x).__name__} as a q-expression")
+
+
+def _q_split(p: Poly):
+    # (p / q^v, v) for the largest v with q^v dividing the nonzero p
+    c = p._c
+    v = 0
+    while c[v] == 0:
+        v += 1
+    return (_mk(c[v:]) if v else p), v
 
 
 class QExpr:
-    """Reduced fraction num/den with num a LaurentPoly and den a Poly.
+    """Reduced fraction q^shift * num / den with num and den in Z[q].
 
-    Canonical invariants: den is nonzero with nonzero constant term (powers
-    of q are folded into the numerator shift) and positive leading
-    coefficient; the primitive parts of num and den are coprime in Q[q];
-    and the integer contents of num and den are coprime, so a rational
-    constant like 3/8 is stored with content 3 upstairs and 8 downstairs.
+    Canonical invariants: num and den have nonzero constant terms (every
+    power of q, of either sign, lives in shift), den has a positive
+    leading coefficient, the primitive parts of num and den are coprime
+    in Q[q], and the integer contents of num and den are coprime, so a
+    rational constant like 3/8 is stored with content 3 upstairs and 8
+    downstairs. Zero is num 0, den 1, shift 0.
 
     >>> x = QExpr(Poly([0, 0, 2]), Poly([0, 8]))
     >>> print(x)
@@ -656,43 +537,47 @@ class QExpr:
     True
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_shift")
 
     def __init__(self, num=0, den=1):
-        lnum, dn = _split(num)
-        lden, dd = _split(den)
-        lnum = lnum * dd
-        lden = lden * dn
-        if not lden:
+        pn, dn = _split(num)
+        pd, dd = _split(den)
+        self._canonicalize(pn * dd, pd * dn, 0)
+
+    def _canonicalize(self, num: Poly, den: Poly, shift: int) -> "QExpr":
+        # Stores q^shift * num / den in canonical form and returns self.
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if not lnum:
-            self._num = L_ZERO
-            self._den = ONE
-            return
-        shift = lnum.shift - lden.shift
-        nb = lnum.base
-        db = lden.base
-        g = gcd_rational(nb, db)
+        if not num:
+            self._num, self._den, self._shift = ZERO, ONE, 0
+            return self
+        num, vn = _q_split(num)
+        den, vd = _q_split(den)
+        g = gcd_rational(num, den)
         if g.degree > 0:
-            nb = nb.exact_div(g)
-            db = db.exact_div(g)
-        t = math.gcd(nb.content(), db.content())
+            num = num.exact_div(g)
+            den = den.exact_div(g)
+        t = math.gcd(num.content(), den.content())
         if t > 1:
-            nb = nb.scaled_down(t)
-            db = db.scaled_down(t)
-        if db.leading < 0:
-            nb = -nb
-            db = -db
-        self._num = LaurentPoly(nb, shift)
-        self._den = db
+            num = num.scaled_down(t)
+            den = den.scaled_down(t)
+        if den.leading < 0:
+            num = -num
+            den = -den
+        self._num, self._den, self._shift = num, den, shift + vn - vd
+        return self
 
     @property
-    def num(self) -> LaurentPoly:
+    def num(self) -> Poly:
         return self._num
 
     @property
     def den(self) -> Poly:
         return self._den
+
+    @property
+    def shift(self) -> int:
+        return self._shift
 
     @property
     def is_zero(self) -> bool:
@@ -701,36 +586,49 @@ class QExpr:
     def __bool__(self):
         return bool(self._num)
 
+    def shifted(self, k: int) -> "QExpr":
+        """Multiply by q**k, for any sign of k; q is a unit, so no gcd."""
+        if not k or not self._num:
+            return self
+        return _qexpr(self._num, self._den, self._shift + k)
+
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Poly, LaurentPoly)):
-            other = QExpr(other)
-        if not isinstance(other, QExpr):
+        o = self._coerced(other)
+        if o is None:
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        return (self._num == o._num and self._den == o._den
+                and self._shift == o._shift)
 
     def __hash__(self):
-        if self._den == ONE and self._num.shift == 0 and self._num.base.degree <= 0:
-            return hash(self._num.base)
-        return hash((self._num, self._den))
+        if self._den == ONE and self._shift == 0 and len(self._num) <= 1:
+            return hash(self._num)
+        return hash((self._num, self._den, self._shift))
 
     def __neg__(self):
-        out = object.__new__(QExpr)
-        out._num = -self._num
-        out._den = self._den
-        return out
+        return _qexpr(-self._num, self._den, self._shift)
 
     def _coerced(self, other):
         if isinstance(other, QExpr):
             return other
-        if isinstance(other, (int, Fraction, Poly, LaurentPoly)):
+        if isinstance(other, (int, Fraction, Poly)):
             return QExpr(other)
         return None
+
+    def _add(self, o):
+        if not o._num:
+            return self
+        if not self._num:
+            return o
+        s = min(self._shift, o._shift)
+        a = (self._num * o._den).shifted(self._shift - s)
+        b = (o._num * self._den).shifted(o._shift - s)
+        return _canonical(a + b, self._den * o._den, s)
 
     def __add__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return QExpr(self._num * o._den + o._num * self._den, self._den * o._den)
+        return self._add(o)
 
     __radd__ = __add__
 
@@ -738,7 +636,7 @@ class QExpr:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return QExpr(self._num * o._den - o._num * self._den, self._den * o._den)
+        return self._add(-o)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -747,7 +645,8 @@ class QExpr:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return QExpr(self._num * o._num, self._den * o._den)
+        return _canonical(self._num * o._num, self._den * o._den,
+                          self._shift + o._shift)
 
     __rmul__ = __mul__
 
@@ -757,7 +656,8 @@ class QExpr:
             return NotImplemented
         if not o._num:
             raise ZeroDivisionError("division by zero QExpr")
-        return QExpr(self._num * o._den, LaurentPoly(self._den) * o._num)
+        return _canonical(self._num * o._den, self._den * o._num,
+                          self._shift - o._shift)
 
     def __rtruediv__(self, other):
         o = self._coerced(other)
@@ -770,26 +670,28 @@ class QExpr:
             raise ValueError("exponent must be an integer")
         if n < 0:
             return (QExpr(1) / self) ** (-n)
-        out = object.__new__(QExpr)
-        out._num = self._num ** n
-        out._den = self._den ** n
-        return out
+        # powers of coprime parts stay coprime: no canonicalization needed
+        return _qexpr(self._num ** n, self._den ** n, self._shift * n)
 
     def __call__(self, x) -> Fraction:
-        dv = self._den(Fraction(x))
+        x = Fraction(x)
+        dv = self._den(x)
         if dv == 0:
             raise ZeroDivisionError(f"pole at q = {x}")
-        return self._num(x) / dv
+        return self._num(x) * x ** self._shift / dv
 
     def eval_at_one(self) -> Fraction:
         """Value at q = 1, exact. Raises PoleAtOneError when den(1) = 0."""
         dv = self._den(1)
         if dv == 0:
             raise PoleAtOneError("denominator vanishes at q = 1")
-        return self._num(1) / dv
+        return Fraction(self._num(1), dv)
 
     def __str__(self):
         n = str(self._num)
+        if self._shift:
+            power = "q" if self._shift == 1 else f"q^{self._shift}"
+            n = power if self._num == ONE else f"{power}*({n})"
         if self._den == ONE:
             return n
         d = str(self._den)
@@ -800,8 +702,16 @@ class QExpr:
         return f"{n}/{d}"
 
     def __repr__(self):
-        return f"QExpr({self._num!r}, {self._den!r})"
+        r = f"QExpr({self._num!r}, {self._den!r})"
+        return f"{r}.shifted({self._shift})" if self._shift else r
 
 
-QX_ZERO = QExpr(0)
-QX_ONE = QExpr(1)
+def _qexpr(num: Poly, den: Poly, shift: int) -> QExpr:
+    # Trusted constructor for parts that are already canonical.
+    out = object.__new__(QExpr)
+    out._num, out._den, out._shift = num, den, shift
+    return out
+
+
+def _canonical(num: Poly, den: Poly, shift: int) -> QExpr:
+    return object.__new__(QExpr)._canonicalize(num, den, shift)

@@ -1,6 +1,6 @@
 """Constructors for the standard q-objects: q-integers, Pochhammer products
-of the form prod (1 - q^(m*j)), Gaussian binomials, q-power units, the
-q-analogue of the Fermat quotient, and three flavors of q-harmonic sums.
+of the form prod (1 - q^(m*j)), Gaussian binomials, the q-analogue of the
+Fermat quotient, and three flavors of q-harmonic sums.
 
 All results are exact. The heavily reused constructors are memoized since
 statement verification calls them across overlapping parameter grids.
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact import LaurentPoly, ONE, Poly, QExpr, ZERO
+from .exact import ONE, Poly, QExpr, ZERO
 
 
 @lru_cache(maxsize=None)
@@ -51,11 +51,6 @@ def q_binomial(n: int, k: int) -> Poly:
     num = q_pochhammer(1, n)
     den = q_pochhammer(1, k) * q_pochhammer(1, n - k)
     return num.exact_div(den)
-
-
-def q_power(t: int) -> LaurentPoly:
-    """The unit q^t, for any sign of t."""
-    return LaurentPoly(ONE, t)
 
 
 @lru_cache(maxsize=None)
@@ -106,6 +101,6 @@ def q_harmonic(kind: str, bound: int) -> QExpr:
         elif kind == "alternating":
             term = QExpr(sign, q_integer(k))
         else:
-            term = QExpr(LaurentPoly(Poly((sign,)), k), q_integer(k))
+            term = QExpr(sign, q_integer(k)).shifted(k)
         prefix.append(prefix[-1] + term)
     return prefix[bound]

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .congruence import Status, Verdict, check_congruence, check_int_congruence
 from .cyclotomic import CycloModulus, factor_q_integer, is_prime
 from .euler import euler_polynomial_value
-from .exact import LaurentPoly, ONE, Poly, QExpr
+from .exact import ONE, Poly, QExpr
 from .qcombinatorics import (
     q_binomial,
     q_fermat_quotient,
@@ -101,12 +101,30 @@ def _sum_fk(n: int, alpha: int, start: int) -> Poly:
     return total
 
 
+def _weighted_sum(n: int, alpha: int) -> Poly:
+    """sum_{k=1}^{n-1} f_k [k]."""
+    total = Poly()
+    for k in range(1, n):
+        total = total + _fk(n, alpha, k) * q_integer(k)
+    return total
+
+
+def _double_sum(n: int, alpha: int) -> Poly:
+    """sum_{j=0}^{n-1} q^j sum_{k=0}^{j} f_k."""
+    prefix = Poly()
+    total = Poly()
+    for j in range(n):
+        prefix = prefix + _fk(n, alpha, j)
+        total = total + prefix.shifted(j)
+    return total
+
+
 def _alt_frac_sum(bound: int, offset: int, q_weight: bool) -> QExpr:
     """sum_{k=1}^{bound} (-1)^k q^(k if q_weight) / (1 - q^(k+offset))."""
     total = QExpr(0)
     for k in range(1, bound + 1):
-        num = LaurentPoly(Poly(((-1) ** k,)), k if q_weight else 0)
-        total = total + QExpr(num, _one_minus_qpow(k + offset))
+        term = QExpr((-1) ** k, _one_minus_qpow(k + offset))
+        total = total + (term.shifted(k) if q_weight else term)
     return total
 
 
@@ -173,34 +191,40 @@ def _hyp_corollary(p):
 # ---------------------------------------------------------------------------
 # per-tag builders; each returns QCongruence / IntCongruence / RationalIdentity
 
+def _a10_rhs(n: int, alpha: int) -> QExpr:
+    """The step_a10 reduction of the k >= 1 tail of the t1 sum."""
+    qn, qa = q_integer(n), q_integer(alpha)
+    return (
+        2 * QExpr(qn * Poly([1, -1]))
+        + QExpr(qn * (2 * Poly.monomial(alpha) - ONE) - qa, qa)
+        - 2 * QExpr(qn) * q_fermat_quotient(2, n)
+        - 2 * QExpr(qn) * q_harmonic("alternating", alpha)
+    )
+
+
+def _b7_rhs(n: int, alpha: int) -> QExpr:
+    """The step_b7 reduction of the [k]-weighted sum."""
+    qn, qa = q_integer(n), q_integer(alpha)
+    return (
+        QExpr(qa - qn).shifted(-alpha)
+        + 2 * QExpr(qa * qn).shifted(-alpha)
+        * (q_fermat_quotient(2, n) + q_harmonic("alternating_q", alpha))
+    )
+
+
 def _build_t1(p, variant):
     n, a = p["n"], p["alpha"]
-    qn, qa = q_integer(n), q_integer(a)
     lhs = QExpr(_sum_fk(n, a, 0))
-    rhs = (
-        2 * QExpr(qn * Poly([1, -1]))
-        + QExpr(2 * qn.shifted(a) - qa, qa)
-        - 2 * QExpr(qn) * q_fermat_quotient(2, n)
-        - 2 * QExpr(qn) * q_harmonic("alternating", a)
-    )
+    # k = 0 term (step_a11_a12) plus the k >= 1 tail (step_a10)
+    rhs = _a10_rhs(n, a) + QExpr(q_integer(n), q_integer(a))
     return QCongruence(lhs, rhs, _phi(n, 2))
 
 
 def _build_t2(p, variant):
     n, a = p["n"], p["alpha"]
-    qn, qa = q_integer(n), q_integer(a)
-    prefix = Poly()
-    lhs_poly = Poly()
-    for j in range(n):
-        prefix = prefix + _fk(n, a, j)
-        lhs_poly = lhs_poly + prefix.shifted(j)
-    rhs = (
-        -QExpr(qn)
-        - QExpr(LaurentPoly(qa - qn, -a))
-        - 2 * QExpr(LaurentPoly(qa * qn, -a))
-        * (q_fermat_quotient(2, n) + q_harmonic("alternating_q", a))
-    )
-    return QCongruence(QExpr(lhs_poly), rhs, _phi(n, 2))
+    # step_b1 (corrected) followed by step_b7
+    rhs = -QExpr(q_integer(n)) - _b7_rhs(n, a)
+    return QCongruence(QExpr(_double_sum(n, a)), rhs, _phi(n, 2))
 
 
 def _build_cor1a(p, variant):
@@ -288,7 +312,7 @@ def _build_gsz(p, variant):
     rhs = (
         QExpr(qn.shifted((r - 1) * n + 1))
         - Fraction(r * (2 * r - 1) * (n - 1) ** 2, 4)
-        * QExpr(LaurentPoly(Poly([1, -1]) ** 2 * qn ** 3, 1))
+        * QExpr(Poly([1, -1]) ** 2 * qn ** 3).shifted(1)
     )
     return QCongruence(QExpr(lhs), rhs, factor_q_integer(n).raised_at(n, 3))
 
@@ -324,7 +348,7 @@ def _build_a4(p, variant):
     lhs = QExpr(q_binomial(a + n - 1, a + k))
     rhs = (
         QExpr(_one_minus_qpow(n))
-        * QExpr(LaurentPoly(Poly(((-1) ** k,)), -math.comb(k + 1, 2)))
+        * QExpr((-1) ** k).shifted(-math.comb(k + 1, 2))
         / (QExpr(_one_minus_qpow(a + k)) * QExpr(q_binomial(a + k - 1, k)))
     )
     return QCongruence(lhs, rhs, _phi(n, 2))
@@ -352,7 +376,7 @@ def _build_a6(p, variant):
     rhs = (
         QExpr(q_binomial(n - 1, n - a))
         * ((-1) ** (a - 1))
-        * QExpr(LaurentPoly(ONE, math.comb(a, 2)))
+        * QExpr(1).shifted(math.comb(a, 2))
         * (1 + QExpr(_one_minus_qpow(n)) * ratio_sum)
     )
     return QCongruence(lhs, rhs, _phi(n, 2))
@@ -368,16 +392,14 @@ def _build_a7(p, variant):
         inner = 1 - recip_sum
     else:
         inner = 1 - QExpr(_one_minus_qpow(n)) * recip_sum
-    rhs = (
-        QExpr(LaurentPoly(Poly(((-1) ** (a - 1),)), -math.comb(a, 2))) * inner
-    )
+    rhs = QExpr((-1) ** (a - 1)).shifted(-math.comb(a, 2)) * inner
     return QCongruence(lhs, rhs, _phi(n, 2))
 
 
 def _build_a8(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(q_binomial(n - 1, a - 1) * q_binomial(n + a - 1, a - 1))
-    rhs = QExpr(LaurentPoly(ONE, -math.comb(a, 2))) * (
+    rhs = QExpr(1).shifted(-math.comb(a, 2)) * (
         QExpr((a - 1) * _one_minus_qpow(n)) - 1
     )
     return QCongruence(lhs, rhs, _phi(n, 2))
@@ -385,55 +407,39 @@ def _build_a8(p, variant):
 
 def _build_a9_0(p, variant):
     t, n = p["t"], p["n"]
-    lhs = QExpr(LaurentPoly(ONE, t * n))
+    lhs = QExpr(1).shifted(t * n)
     rhs = 1 - t * QExpr(_one_minus_qpow(n))
     return QCongruence(lhs, rhs, _phi(n, 2))
 
 
 def _build_a9(p, variant):
     n, a = p["n"], p["alpha"]
-    lhs = QExpr(LaurentPoly(ONE, n * (n - 2 * a + 1) // 2))
+    lhs = QExpr(1).shifted(n * (n - 2 * a + 1) // 2)
     rhs = 1 + Fraction(2 * a - n - 1, 2) * QExpr(_one_minus_qpow(n))
     return QCongruence(lhs, rhs, _phi(n, 2))
 
 
 def _build_a10(p, variant):
     n, a = p["n"], p["alpha"]
-    qn, qa = q_integer(n), q_integer(a)
-    lhs = QExpr(_sum_fk(n, a, 1))
-    two_qa_minus_1 = 2 * Poly.monomial(a) - ONE
-    rhs = (
-        2 * QExpr(qn * Poly([1, -1]))
-        + QExpr(qn * two_qa_minus_1 - qa, qa)
-        - 2 * QExpr(qn) * q_fermat_quotient(2, n)
-        - 2 * QExpr(qn) * q_harmonic("alternating", a)
-    )
-    return QCongruence(lhs, rhs, _phi(n, 2))
+    return QCongruence(QExpr(_sum_fk(n, a, 1)), _a10_rhs(n, a), _phi(n, 2))
 
 
 def _build_a11_a12(p, variant):
     n, a = p["n"], p["alpha"]
-    lhs = QExpr(_sum_fk(n, a, 0) - _sum_fk(n, a, 1))
+    lhs = QExpr(_fk(n, a, 0))
     rhs = QExpr(q_integer(n), q_integer(a))
     return QCongruence(lhs, rhs, _phi(n, 2))
 
 
 def _build_b1(p, variant):
     n, a = p["n"], p["alpha"]
-    prefix = Poly()
-    lhs_poly = Poly()
-    for j in range(n):
-        prefix = prefix + _fk(n, a, j)
-        lhs_poly = lhs_poly + prefix.shifted(j)
-    weighted = Poly()
-    for k in range(1, n):
-        weighted = weighted + _fk(n, a, k) * q_integer(k)
     qn = QExpr(q_integer(n))
+    weighted = QExpr(_weighted_sum(n, a))
     if variant == "as_printed":
-        rhs = qn - QExpr(weighted)
+        rhs = qn - weighted
     else:
-        rhs = -qn - QExpr(weighted)
-    return QCongruence(QExpr(lhs_poly), rhs, _phi(n, 2))
+        rhs = -qn - weighted
+    return QCongruence(QExpr(_double_sum(n, a)), rhs, _phi(n, 2))
 
 
 def _b_corner(n: int, alpha: int) -> Poly:
@@ -446,10 +452,7 @@ def _b_corner(n: int, alpha: int) -> Poly:
 
 def _build_b2(p, variant):
     n, a = p["n"], p["alpha"]
-    weighted = Poly()
-    for k in range(1, n):
-        weighted = weighted + _fk(n, a, k) * q_integer(k)
-    lhs = QExpr(weighted - _b_corner(n, a))
+    lhs = QExpr(_weighted_sum(n, a) - _b_corner(n, a))
     tail = QExpr(0)
     for k in range(1, n):
         tail = tail + QExpr(
@@ -473,19 +476,19 @@ def _build_b4(p, variant):
         Fraction(1 - n, 2) * QExpr(Poly([1, -1]))
         - 2 * q_fermat_quotient(2, n)
         - 2 * q_harmonic("alternating_q", a)
-        - QExpr(LaurentPoly(ONE, n), q_integer(n))
-        + QExpr(LaurentPoly(ONE, a), q_integer(a))
+        - QExpr(1, q_integer(n)).shifted(n)
+        + QExpr(1, q_integer(a)).shifted(a)
     )
-    rhs = inner * QExpr(LaurentPoly(ONE, -a)) / QExpr(Poly([1, -1]))
+    rhs = inner.shifted(-a) / QExpr(Poly([1, -1]))
     return QCongruence(lhs, rhs, _phi(n))
 
 
 def _build_b5(p, variant):
     n, a = p["n"], p["alpha"]
-    lhs = QExpr(LaurentPoly(ONE, n * (n - 2 * a + 1) // 2 - a))
-    rhs = QExpr(LaurentPoly(ONE, -a)) + Fraction(2 * a - n - 1, 2) * QExpr(
-        LaurentPoly(_one_minus_qpow(n), -a)
-    )
+    lhs = QExpr(1).shifted(n * (n - 2 * a + 1) // 2 - a)
+    rhs = QExpr(1).shifted(-a) + Fraction(2 * a - n - 1, 2) * QExpr(
+        _one_minus_qpow(n)
+    ).shifted(-a)
     return QCongruence(lhs, rhs, _phi(n, 2))
 
 
@@ -499,22 +502,13 @@ def _build_b6(p, variant):
     else:
         # reinstates the halved coefficient used by the q-power expansion
         bracket = QExpr(Poly([2]) + (2 * a - n - 1) * _one_minus_qpow(n), 2)
-    rhs = bracket * QExpr(LaurentPoly(core, -a))
+    rhs = bracket * QExpr(core).shifted(-a)
     return QCongruence(lhs, rhs, _phi(n, 2))
 
 
 def _build_b7(p, variant):
     n, a = p["n"], p["alpha"]
-    weighted = Poly()
-    for k in range(1, n):
-        weighted = weighted + _fk(n, a, k) * q_integer(k)
-    qn, qa = q_integer(n), q_integer(a)
-    rhs = (
-        QExpr(LaurentPoly(qa - qn, -a))
-        + 2 * QExpr(LaurentPoly(qa * qn, -a))
-        * (q_fermat_quotient(2, n) + q_harmonic("alternating_q", a))
-    )
-    return QCongruence(QExpr(weighted), rhs, _phi(n, 2))
+    return QCongruence(QExpr(_weighted_sum(n, a)), _b7_rhs(n, a), _phi(n, 2))
 
 
 def _build_identity_t0(p, variant):
@@ -607,10 +601,6 @@ def _hyp_a4(p):
     _need(a <= n, f"alpha <= n required, got alpha={a} n={n}")
     _need(0 <= k <= n - 1, f"k must lie in [0, n-1], got {k}")
     _need(k != n - a, "k = n - alpha is excluded")
-
-
-def _hyp_a9_0(p):
-    _need(p["n"] >= 1, f"n must be positive, got {p['n']}")
 
 
 def _hyp_positive_n(p):
@@ -798,7 +788,7 @@ _STATEMENTS = [
         "q^(tn) linearized in (1-q^n) mod Phi_n^2",
         ("t", "n"),
         _build_a9_0,
-        _hyp_a9_0,
+        _hyp_positive_n,
         lambda: [{"t": t, "n": n} for t in range(-3, 5) for n in range(1, 13)],
     ),
     Statement(
@@ -1009,20 +999,3 @@ def verify(tag: str, grid=None, variant: str | None = None, jobs: int = 1):
         records = [run_cell(*c) for c in cells]
     records.sort(key=lambda r: (r.statement, r.variant, r.params))
     return records
-
-
-def verify_corollary(p: int, alpha: int, variant: str):
-    """Both integer corollary congruences at (p, alpha); returns a pair."""
-    if variant == "corrected":
-        variant = "standard_fermat_quotient"
-    ra = run_cell("cor1a", variant, {"p": p, "alpha": alpha})
-    rb = run_cell("cor1b", variant, {"p": p, "alpha": alpha})
-    return ra.verdict, rb.verdict
-
-
-def pan_statements(p: int):
-    """The two literature congruences at the odd prime p, as raw triples."""
-    _hyp_odd_prime({"p": p})
-    one = _build_pan1({"p": p}, "as_printed")
-    two = _build_pan2({"p": p}, "as_printed")
-    return (one.lhs, one.rhs, one.modulus), (two.lhs, two.rhs, two.modulus)

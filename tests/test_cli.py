@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -245,3 +246,22 @@ def test_jobs_clamped_below_to_one(monkeypatch, capsys):
     assert resolve_jobs(None) == 1
     assert main(["verify", "--statement", "guguo", "--n", "5",
                  "--jobs", "-3"]) == 0
+
+
+# sha256 of `qcong report --all --format json` with elapsed_ms removed,
+# re-dumped with indent=2 plus the newline the CLI ends its output with:
+# every verdict, margin and note of all 30 statements in both variants
+REPORT_ALL_SHA256 = (
+    "55d62daa609f2c679ec9e4b040d76a32fdd007fd12e82ff0265fe567d14fa557"
+)
+
+
+def test_report_all_json_is_unchanged(capsys):
+    assert main(["report", "--all", "--format", "json", "--jobs", "1"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    for entry in data:
+        for info in entry["variants"].values():
+            for record in info["records"]:
+                del record["elapsed_ms"]
+    text = json.dumps(data, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_ALL_SHA256

@@ -4,8 +4,6 @@ from fractions import Fraction
 import pytest
 
 from qcong.euler import (
-    alt_harmonic_mod_p_check,
-    alt_power_sum_check,
     euler_numbers,
     euler_polynomial,
     euler_polynomial_value,
@@ -52,22 +50,6 @@ def test_euler_number_polynomial_bridge():
         assert euler_polynomial_value(2 * n, Fraction(1, 2)) * 4 ** n == table[2 * n]
 
 
-def test_alt_power_sum_identity():
-    # spot values first: sum for (m=2, n=3) is -1+4-9 = -6
-    assert alt_power_sum_check(2, 3)
-    assert alt_power_sum_check(5, 10)
-    for m in range(1, 11):
-        for n in range(1, 51):
-            assert alt_power_sum_check(m, n)
-
-
-def test_alt_power_sum_identity_fails_at_m0():
-    # E_0 = 1 makes the right side 0 (n odd) or 1 (n even) while the left
-    # side is -1 or 0; the identity needs m >= 1
-    for n in range(1, 51):
-        assert not alt_power_sum_check(0, n)
-
-
 def test_higher_order_euler_values():
     assert higher_order_euler(1, 0) == 1
     assert higher_order_euler(1, 2) == -1
@@ -76,18 +58,3 @@ def test_higher_order_euler_values():
         assert higher_order_euler(1, n) == table[n]
     with pytest.raises(ValueError):
         higher_order_euler(0, 1)
-
-
-def test_alt_harmonic_mod_p():
-    assert alt_harmonic_mod_p_check(2, 5)
-    assert alt_harmonic_mod_p_check(4, 7)
-    assert alt_harmonic_mod_p_check(1, 3)
-    for p in (3, 5, 7, 11, 13):
-        for alpha in range(1, p):
-            assert alt_harmonic_mod_p_check(alpha, p)
-    with pytest.raises(ValueError):
-        alt_harmonic_mod_p_check(1, 9)
-    with pytest.raises(ValueError):
-        alt_harmonic_mod_p_check(1, 2)
-    with pytest.raises(ValueError):
-        alt_harmonic_mod_p_check(5, 5)

@@ -5,7 +5,6 @@ import pytest
 
 from qcong.exact import (
     Poly,
-    LaurentPoly,
     QExpr,
     ZERO,
     ONE,
@@ -123,35 +122,45 @@ def test_gcd_random_products():
 
 
 def test_laurent_normalization():
-    l = LaurentPoly(Poly([0, 0, 3, 1]), -5)
-    assert l.base == Poly([3, 1])
+    # q^-5 (3q^2 + q^3): the power of q leaves num and joins the shift
+    l = QExpr(Poly([0, 0, 3, 1])).shifted(-5)
+    assert l.num == Poly([3, 1])
     assert l.shift == -3
-    assert l.degree == -2
-    z = LaurentPoly(ZERO, 9)
+    assert l.den == ONE
+    z = QExpr(ZERO).shifted(9)
     assert not z and z.shift == 0
-    assert LaurentPoly(ONE, 2) == LaurentPoly(Poly([0, 0, 1]), 0)
+    assert QExpr(ONE).shifted(2) == QExpr(Poly([0, 0, 1]))
+    # a power of q downstairs becomes a negative shift
+    assert QExpr(1, Poly([0, 0, 1])) == QExpr(1).shifted(-2)
 
 
 def test_laurent_arithmetic():
-    qinv = LaurentPoly(ONE, -1)
-    assert qinv * LaurentPoly(ONE, 1) == 1
-    assert qinv + 1 == LaurentPoly(Poly([1, 1]), -1)
-    s = LaurentPoly(Poly([1, 1]), -2) - LaurentPoly(Poly([1]), -2)
-    assert s == LaurentPoly(ONE, -1)
+    qinv = QExpr(1).shifted(-1)
+    assert qinv * QExpr(1).shifted(1) == 1
+    assert qinv + 1 == QExpr(Poly([1, 1])).shifted(-1)
+    s = QExpr(Poly([1, 1])).shifted(-2) - QExpr(Poly([1])).shifted(-2)
+    assert s == qinv
+    assert s.num == ONE and s.shift == -1
     assert (qinv ** 3)(Fraction(2)) == Fraction(1, 8)
-    assert LaurentPoly(Poly([1, 1]), -1)(Fraction(1, 2)) == 3
+    assert QExpr(Poly([1, 1])).shifted(-1)(Fraction(1, 2)) == 3
+    # shifts of either sign compose and agree with multiplying by q^k
+    x = QExpr(Poly([1, 2]), Poly([1, -1]))
+    assert x.shifted(4).shifted(-7) == x.shifted(-3) == x * qinv ** 3
+    assert x.shifted(-3).shifted(3) == x and x.shifted(0) is x
+    assert str(QExpr(Poly([1, 1])).shifted(-2)) == "q^-2*(1 + q)"
+    assert str(x.shifted(1)) == "(q*(-1 - 2*q))/(-1 + q)"
 
 
 def test_qexpr_canonical_form():
     # q powers in the denominator move to the numerator shift
     x = QExpr(Poly([0, 0, 2]), Poly([0, 8]))
-    assert x.num == LaurentPoly(ONE, 1)
+    assert x.num == ONE and x.shift == 1
     assert x.den == Poly([4])
     # polynomial cancellation
     assert QExpr(Poly([-1, 0, 1]), Poly([1, 1])) == QExpr(Poly([-1, 1]))
     # integer content splits reduced across num and den
     e = QExpr(2, 16)
-    assert e.num.base == ONE and e.den == Poly([8])
+    assert e.num == ONE and e.den == Poly([8])
     # denominator leading coefficient is made positive
     a = QExpr(Poly([1, 1]), Poly([1, -1]))
     assert a.den.leading > 0
@@ -174,8 +183,8 @@ def test_qexpr_field_ops():
     assert a - a == 0
     assert a / a == 1
     assert (a + 1) * Fraction(1, 2) == QExpr(Poly([1]), Poly([1, -1]))
-    assert 1 / QExpr(Q) == QExpr(LaurentPoly(ONE, -1))
-    assert QExpr(Q) ** -2 == QExpr(LaurentPoly(ONE, -2))
+    assert 1 / QExpr(Q) == QExpr(1).shifted(-1)
+    assert QExpr(Q) ** -2 == QExpr(1).shifted(-2)
     b = QExpr(Poly([1, 2, 1]), Poly([2]))
     assert b ** 2 == QExpr(Poly([1, 2, 1]) ** 2, Poly([4]))
 
@@ -197,6 +206,9 @@ def test_qexpr_evaluation():
     # cancellation can remove an apparent pole
     ok = QExpr(Poly([-1, 0, 1]), Poly([-1, 1]))
     assert ok.eval_at_one() == 2
+    # exact at q = 1 whatever the shift
+    third = QExpr(1, 3).shifted(-4).eval_at_one()
+    assert third == Fraction(1, 3) and type(third) is Fraction
 
 
 def test_qexpr_hash_and_sets():
@@ -225,7 +237,7 @@ def test_qexpr_field_axioms_random():
     def rand_expr():
         num = Poly([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
         den = Poly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] + [rng.choice([1, 2, -1])])
-        return QExpr(LaurentPoly(num, rng.randint(-2, 2)), den)
+        return QExpr(num, den).shifted(rng.randint(-2, 2))
     for _ in range(80):
         a, b, c = rand_expr(), rand_expr(), rand_expr()
         assert a + b == b + a

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from qcong.congruence import Status, check_congruence
 from qcong.cyclotomic import CycloModulus, cyclotomic, phi_valuation
-from qcong.exact import LaurentPoly, ONE, Poly, QExpr, ZERO, gcd_rational
+from qcong.exact import ONE, Poly, QExpr, ZERO, gcd_rational
 from qcong.qcombinatorics import q_binomial
 
 
@@ -113,7 +113,7 @@ def test_congruence_relation_axioms_1000():
         assert check_congruence(b, a, mod).status is Status.HOLDS
         # translation and admissible-multiplication preserve the relation
         assert check_congruence(a + w, b + w, mod).status is Status.HOLDS
-        if phi_valuation(w.num.base, d) == 0:
+        if phi_valuation(w.num, d) == 0:
             sym = check_congruence(a * w, b * w, mod).status
             assert sym is Status.HOLDS
         # transitivity against a third congruent expression
@@ -135,7 +135,7 @@ def test_unit_invariance_1000():
         else:
             b = _admissible(rng, d)
         base = check_congruence(a, b, mod).status
-        unit = QExpr(LaurentPoly(ONE, rng.randint(-5, 5))) * Fraction(
+        unit = QExpr(1).shifted(rng.randint(-5, 5)) * Fraction(
             rng.choice([-3, -2, -1, 1, 2, 3]),
             rng.choice([1, 2, 3, 5]),
         )

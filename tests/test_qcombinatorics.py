@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcong.exact import LaurentPoly, ONE, Poly, QExpr, ZERO
+from qcong.exact import ONE, Poly, QExpr, ZERO
 from qcong.cyclotomic import cyclotomic, phi_valuation
 from qcong.qcombinatorics import (
     q_binomial,
@@ -12,7 +12,6 @@ from qcong.qcombinatorics import (
     q_harmonic,
     q_integer,
     q_pochhammer,
-    q_power,
 )
 
 
@@ -60,10 +59,11 @@ def test_q_binomial_symmetry_pascal_and_q1():
 
 
 def test_q_power():
-    assert q_power(0) == 1
-    assert q_power(3) == LaurentPoly(ONE, 3)
-    assert q_power(-2)(Fraction(2)) == Fraction(1, 4)
-    assert q_power(2) * q_power(-2) == 1
+    # the unit q^t is QExpr(1).shifted(t), for any sign of t
+    assert QExpr(1).shifted(0) == 1
+    assert QExpr(1).shifted(3) == QExpr(Poly.monomial(3))
+    assert QExpr(1).shifted(-2)(Fraction(2)) == Fraction(1, 4)
+    assert QExpr(1).shifted(2) * QExpr(1).shifted(-2) == 1
 
 
 def test_q_fermat_quotient_known_values():
@@ -110,7 +110,7 @@ def test_q_harmonic_matches_slow_reference():
         for k in range(1, bound + 1):
             plain = plain + QExpr(1, q_integer(2 * k))
             alt = alt + QExpr((-1) ** k, q_integer(k))
-            altq = altq + QExpr(LaurentPoly(Poly(((-1) ** k,)), k), q_integer(k))
+            altq = altq + QExpr(Poly.monomial(k, (-1) ** k), q_integer(k))
         assert q_harmonic("plain_even", bound) == plain
         assert q_harmonic("alternating", bound) == alt
         assert q_harmonic("alternating_q", bound) == altq

@@ -15,10 +15,8 @@ from qcong.statements import (
     _fk,
     evaluate_built,
     m_star,
-    pan_statements,
     run_cell,
     verify,
-    verify_corollary,
 )
 
 ALL_TAGS = [
@@ -75,13 +73,6 @@ def test_corollary_variants():
     )
 
 
-def test_verify_corollary_accepts_corrected_alias():
-    va, vb = verify_corollary(5, 2, "corrected")
-    assert va.status is Status.HOLDS and vb.status is Status.HOLDS
-    va, vb = verify_corollary(5, 2, "as_printed")
-    assert va.status is Status.FAILS and vb.status is Status.FAILS
-
-
 def test_pan_variants():
     assert _status("pan1", {"p": 5}) is Status.HOLDS
     assert _status("pan2", {"p": 5}, "as_printed") is Status.FAILS
@@ -89,9 +80,10 @@ def test_pan_variants():
 
 
 def test_pan_statements_returns_triples():
-    (l1, r1, m1), (l2, r2, m2) = pan_statements(7)
-    assert m1 == CycloModulus.phi(7, 2) == m2
-    assert l1 != r1  # congruent mod Phi_7^2 but not equal
+    one = REGISTRY["pan1"].build({"p": 7}, "as_printed")
+    two = REGISTRY["pan2"].build({"p": 7}, "as_printed")
+    assert one.modulus == CycloModulus.phi(7, 2) == two.modulus
+    assert one.lhs != one.rhs  # congruent mod Phi_7^2 but not equal
 
 
 def test_step_a4_domain_boundary():
@@ -163,8 +155,12 @@ def test_run_cell_hypothesis_violation_is_ill_posed():
     rec = run_cell("t1", "as_printed", {"n": 4, "alpha": 2})
     assert rec.verdict.status is Status.ILL_POSED
     assert "odd" in rec.hypothesis_error
-    rec = run_cell("cong_t0a", "as_printed", {"p": 9, "alpha": 2})
-    assert rec.verdict.status is Status.ILL_POSED
+    # p must be an odd prime, and 1 <= alpha <= p - 1 keeps every
+    # denominator coprime to p
+    for bad in ({"p": 9, "alpha": 2}, {"p": 2, "alpha": 1},
+                {"p": 5, "alpha": 5}):
+        rec = run_cell("cong_t0a", "as_printed", bad)
+        assert rec.verdict.status is Status.ILL_POSED
 
 
 def test_run_cell_rejects_unknown_variant():

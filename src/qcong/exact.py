@@ -314,8 +314,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def shifted(self, k: int) -> "Poly":
@@ -487,12 +488,12 @@ def gcd_rational(a: Poly, b: Poly) -> Poly:
     """
     if not a and not b:
         raise BothZeroError("gcd of two zero polynomials")
+    if len(a) == 1 or len(b) == 1:
+        return ONE
     a = a.primitive()
     b = b.primitive()
     if not a or not b:
         g = a or b
-    elif len(a) == 1 or len(b) == 1:
-        return ONE
     else:
         g = _heu_gcd(a, b) or _prs_gcd(a, b)
     if g.leading < 0:

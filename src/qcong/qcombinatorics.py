@@ -2,15 +2,19 @@
 of the form prod (1 - q^(m*j)), Gaussian binomials, the q-analogue of the
 Fermat quotient, and three flavors of q-harmonic sums.
 
-All results are exact. The heavily reused constructors are memoized since
-statement verification calls them across overlapping parameter grids.
+All results are exact. Gaussian binomials come from their ratio
+recurrence on coefficients packed into one integer (see q_binomial), so
+no large polynomial division is needed. The heavily reused constructors
+are memoized since statement verification calls them across overlapping
+parameter grids.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
-from .exact import ONE, Poly, QExpr, ZERO
+from .exact import ONE, Poly, QExpr, ZERO, _unpack, _width
 
 
 @lru_cache(maxsize=None)
@@ -42,15 +46,50 @@ def q_pochhammer(base_exp: int, count: int) -> Poly:
 def q_binomial(n: int, k: int) -> Poly:
     """Gaussian binomial coefficient; 0 outside 0 <= k <= n.
 
-    Computed as the Pochhammer quotient, which divides exactly in Z[q].
+    Built by the ratio recurrence [n, j] = [n, j-1] (1 - q^(n-j+1)) / (1 - q^j)
+    for j = 1..min(k, n-k), on one integer that packs the coefficients at
+    B = 2^W. Multiplying by 1 - q^m is a shift and a subtraction; dividing
+    by 1 - q^j multiplies by 1 + B^j + B^(2j) + ... and is checked exactly.
+
+    >>> q_binomial(4, 2)
+    Poly([1, 1, 2, 1, 1])
     """
     if k < 0 or k > n:
         return ZERO
-    if k > n - k:
-        k = n - k
-    num = q_pochhammer(1, n)
-    den = q_pochhammer(1, k) * q_pochhammer(1, n - k)
-    return num.exact_div(den)
+    k = min(k, n - k)
+    # Width: the coefficients of [n, j] are nonnegative and sum to
+    # C(n, j) <= C(n, k). Times (1 - q^m) they stay within 2 C(n, k), and
+    # every partial sum of the stride-j doubling below telescopes to
+    # y_i - y_(i-s), also within 2 C(n, k). W - 1 >= bits(C(n, k)) + 2 keeps
+    # all of these inside a slot, so every integer below is its polynomial
+    # at B digit for digit, and both checks below pass.
+    total = math.comb(n, k)
+    w = _width(total.bit_length() + 2)
+    bits = 8 * w
+    x = 1
+    for j in range(1, k + 1):
+        x -= x << ((n - j + 1) * bits)
+        # x = (1 - B^j) [n, j](B); y = x (1 + B^j + ... + B^(s-j))
+        # = [n, j](B) (1 - B^s) once s reaches the length j(n-j) + 1
+        size = j * (n - j) + 1
+        y, s = x, j
+        while s < size:
+            y += y << (s * bits)
+            s *= 2
+        top = 1 << (s * bits - 1)
+        low = ((y + top) & ((top << 1) - 1)) - top
+        # x = (1 - B^j) low in Z: the division is exact, so after k steps
+        # x = [n, k](B)
+        if x != low - (low << (j * bits)):
+            raise ArithmeticError(f"[{n}, {j}] did not divide exactly")
+        x = low
+    # Base-B digits that are all >= 0 and sum to [n, k](1) = C(n, k) are
+    # [n, k]'s own coefficients: those are >= 0 too, and every carry
+    # between slots would lower the digit sum by B - 1.
+    coeffs = _unpack(x, k * (n - k) + 1, w)
+    if coeffs is None or min(coeffs) < 0 or sum(coeffs) != total:
+        raise ArithmeticError(f"[{n}, {k}] overflowed its {w}-byte slots")
+    return Poly(coeffs)
 
 
 @lru_cache(maxsize=None)

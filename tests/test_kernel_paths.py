@@ -3,18 +3,22 @@
 Kronecker multiplication against schoolbook multiplication, Kronecker
 exact division against long division, and GCDHEU against the primitive
 pseudo-remainder sequence, on seeded random operands on both sides of each
-crossover length. A second block cross-checks products, gcds and
+crossover length. Gaussian binomials from the packed ratio recurrence are
+checked against the Pochhammer quotient and, for large rows, against their
+values at q = 1, 2, -2 and 3. A last block cross-checks products, gcds and
 cyclotomic remainders against sympy when it is installed.
 """
 
+import math
 import random
 
 import pytest
 
 import qcong.exact as ex
+import qcong.qcombinatorics as qcombinatorics
 from qcong.cyclotomic import cyclotomic, phi_valuation
 from qcong.exact import ONE, ZERO, Poly, gcd_rational
-from qcong.qcombinatorics import q_pochhammer
+from qcong.qcombinatorics import q_binomial, q_pochhammer
 
 SEED = 20240611
 
@@ -58,6 +62,27 @@ def test_multiply_zero_constant_and_signs():
     extreme = (-(1 << 90),) * (2 * ex._KRONECKER_MUL_MIN_LEN)
     assert ex._kronecker_mul(extreme, extreme) == tuple(
         ex._schoolbook_mul(extreme, extreme))
+
+
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    p = Poly([2, -1, 0, 3, 1])
+    mul = Poly.__mul__
+    degrees = []
+
+    def counting_mul(a, b):
+        out = mul(a, b)
+        degrees.append(out.degree)
+        return out
+
+    want = ONE
+    for n in range(10):
+        degrees.clear()
+        monkeypatch.setattr(Poly, "__mul__", counting_mul)
+        got = p ** n
+        monkeypatch.undo()
+        assert got == want
+        assert max(degrees, default=0) <= n * p.degree, n
+        want = want * p
 
 
 def test_divide_matches_long_division():
@@ -171,6 +196,50 @@ def test_gcd_zero_constant_and_sign():
     assert gcd_rational(p * 6, Poly([0, 0, 4])) == ONE
     with pytest.raises(ex.BothZeroError):
         gcd_rational(ZERO, ZERO)
+
+
+def test_gcd_with_a_constant_skips_primitive_parts(monkeypatch):
+    big = q_pochhammer(1, 12) * 10
+    # a constant input decides the gcd before any content pass
+    monkeypatch.setattr(Poly, "primitive", None)
+    assert gcd_rational(Poly([6]), big) == ONE
+    assert gcd_rational(big, Poly([-1])) == ONE
+    assert gcd_rational(ZERO, Poly([-4])) == ONE
+    with pytest.raises(ex.BothZeroError):
+        gcd_rational(ZERO, ZERO)
+
+
+def test_q_binomial_matches_pochhammer_quotient():
+    # the slots are 1 to 8 bytes wide up to n = 60, wider at (70, 35), (80, 40)
+    pairs = [(n, k) for n in range(61) for k in range(n // 2 + 1)]
+    for n, k in pairs + [(70, 35), (80, 40)]:
+        want = q_pochhammer(1, n).exact_div(
+            q_pochhammer(1, k) * q_pochhammer(1, n - k))
+        assert q_binomial(n, k) == q_binomial(n, n - k) == want, (n, k)
+    assert q_binomial(5, -1) == q_binomial(5, 6) == ZERO
+
+
+def test_q_binomial_rejects_slots_too_narrow(monkeypatch):
+    # one-byte slots: [10, 5] peaks at 20, but [14, 7] at 169 > 127 wraps
+    want = q_binomial(10, 5)
+    monkeypatch.setattr(qcombinatorics, "_width", lambda bits: 1)
+    assert q_binomial.__wrapped__(10, 5) == want
+    with pytest.raises(ArithmeticError):
+        q_binomial.__wrapped__(14, 7)
+
+
+@pytest.mark.parametrize("n, k", [(240, 120), (400, 60)])
+def test_q_binomial_large_rows_against_their_values(n, k):
+    g = q_binomial(n, k)
+    assert len(g) == k * (n - k) + 1
+    assert min(g.coeffs) >= 0
+    assert g(1) == math.comb(n, k)
+    for x in (2, -2, 3):
+        num = den = 1
+        for i in range(k):
+            num *= x ** (n - i) - 1
+            den *= x ** (i + 1) - 1
+        assert num % den == 0 and g(x) == num // den, x
 
 
 def test_against_sympy():

@@ -10,6 +10,11 @@ pole at a modulus factor. Working on the difference rather than on each
 side separately means a pole that cancels between the two sides does not
 poison the verdict; when both sides are individually admissible this
 reduces to the usual divisibility definition.
+
+reduce_mod writes a residue modulo M = prod Phi_d^e in its canonical form
+of degree below deg(M). It inverts the denominator with the integer
+extended primitive pseudo-remainder sequence and reduces by the monic M,
+both on the Z[q] kernel's one long-division loop.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .cyclotomic import CycloModulus, phi_valuation
-from .exact import Poly, QExpr, ZERO
+from .exact import ONE, Poly, QExpr, ZERO, _pseudo_divmod
 
 __all__ = [
     "CycloModulus",
@@ -193,90 +198,6 @@ def check_int_congruence(lhs, rhs, modulus: int) -> Verdict:
     return Verdict(Status.FAILS, note=f"difference {diff} != 0 (mod {modulus})")
 
 
-# ---------------------------------------------------------------------------
-# canonical representatives: arithmetic in Q[q]/(M) on Fraction coefficient
-# lists, ascending order, used only inside reduce_mod
-
-
-def _ftrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fpoly(p: Poly):
-    return [Fraction(c) for c in p.coeffs]
-
-
-def _fdivmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        step = a[-1] / lb
-        pos = len(a) - 1 - db
-        q[pos] = step
-        for i in range(db + 1):
-            a[pos + i] -= step * b[i]
-        a.pop()
-    return _ftrim(q), _ftrim(a)
-
-
-def _fegcd(a, b):
-    # returns (g, s) with s*a = g (mod b); g is the monic gcd of a and b
-    a = _ftrim(list(a))
-    b = _ftrim(list(b))
-    r0, r1 = a, b
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = _fdivmod(r0, r1)
-        r0, r1 = r1, r
-        prod = _fmul(q, s1)
-        s0, s1 = s1, _fsub(s0, prod)
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        s0 = [c / lead for c in s0]
-    return r0, s0
-
-
-def _fmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ftrim(out)
-
-
-def _fsub(a, b):
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _ftrim(out)
-
-
-def _fmulmod(a, b, m):
-    return _fdivmod(_fmul(a, b), m)[1]
-
-
-def _fpowmod(a, n, m):
-    out = [Fraction(1)]
-    base = _fdivmod(a, m)[1]
-    while n:
-        if n & 1:
-            out = _fmulmod(out, base, m)
-        base = _fmulmod(base, base, m)
-        n >>= 1
-    return out
-
-
 @dataclass(frozen=True)
 class CanonicalRep:
     """A residue written as scale * poly with poly primitive over Z.
@@ -297,36 +218,41 @@ class CanonicalRep:
 
 
 def reduce_mod(expr: QExpr, modulus: CycloModulus) -> CanonicalRep:
-    """Unique low-degree representative of expr modulo modulus.poly().
+    """Unique representative of expr modulo M = modulus.poly() of degree
+    below deg(M), as scale * poly with poly primitive over Z.
 
-    The denominator (and q itself, for a negative shift) are inverted
-    modulo the modulus polynomial over Q, the product is reduced to degree
-    below deg(modulus), and the rational content is pulled out so the
-    polynomial part has integer coefficients with content 1.
+    q is a unit modulo M because M(0) = +-1, so the q-shift is folded into
+    the numerator (shift > 0) or the denominator (shift < 0). The
+    denominator is inverted by the extended primitive pseudo-remainder
+    sequence on Z[q] (Geddes, Czapor and Labahn, 1992, ch. 7): it keeps
+    r = s * den (mod M) from (r, s) = (M, 0), (den, 1), divides each new
+    pair by the gcd of their contents, and stops at a nonzero constant c,
+    where den^-1 = s / c. The residue is (num * s mod M) / c. Raises
+    NotInvertibleError when the sequence reaches zero instead: den and M
+    then share the last nonzero remainder as a factor.
     """
     if modulus.is_empty:
         raise ValueError("empty modulus")
     expr = _as_qexpr(expr)
-    m = _fpoly(modulus.poly())
-    g, s = _fegcd(_fpoly(expr.den), m)
-    if len(g) != 1:
+    m = modulus.poly()
+    num, den = expr.num, expr.den
+    if expr.shift > 0:
+        num = num.shifted(expr.shift)
+    elif expr.shift < 0:
+        den = den.shifted(-expr.shift)
+    r0, s0, r1, s1 = m, ZERO, den, ONE
+    while len(r1) > 1:
+        k, quo, rem = _pseudo_divmod(r0, r1)
+        s = k * s0 - quo * s1
+        g = math.gcd(rem.content(), s.content())
+        r0, s0, r1, s1 = r1, s1, rem.scaled_down(g), s.scaled_down(g)
+    if not r1:
         raise NotInvertibleError(
-            f"denominator shares the factor gcd of degree {len(g) - 1} with {modulus}"
+            f"denominator shares the factor gcd of degree {r0.degree} with {modulus}"
         )
-    rep = _fmulmod(_fpoly(expr.num), s, m)
-    shift = expr.shift
-    if shift:
-        gq, sq = _fegcd([Fraction(0), Fraction(1)], m)
-        assert len(gq) == 1  # q is a unit: modulus.poly()(0) = +-1
-        qpow = _fpowmod([Fraction(0), Fraction(1)] if shift > 0 else sq, abs(shift), m)
-        rep = _fmulmod(rep, qpow, m)
+    c = r1.leading
+    rep = _pseudo_divmod(num * s1, m)[2]
     if not rep:
         return CanonicalRep(Fraction(1), ZERO)
-    lcm = 1
-    for c in rep:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in rep]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
-    return CanonicalRep(Fraction(content, lcm), Poly(c // content for c in ints))
+    poly = rep.primitive()
+    return CanonicalRep(Fraction(rep.content(), abs(c)), poly if c > 0 else -poly)

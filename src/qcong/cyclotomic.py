@@ -44,18 +44,7 @@ def prime_factors(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_factors(n) == [n]
 
 
 def euler_phi(n: int) -> int:
@@ -70,18 +59,10 @@ def euler_phi(n: int) -> int:
 def mobius(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1 if d == 2 else 2
-    if n > 1:
-        result = -result
-    return result
+    ps = prime_factors(n)
+    if any(n % (p * p) == 0 for p in ps):
+        return 0
+    return (-1) ** len(ps)
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,9 @@ every fast result carries a certificate:
   base-xi digits and accepted only when it divides both inputs. Otherwise
   the primitive pseudo-remainder sequence decides.
 
-Short operands keep the schoolbook loops, which are faster there.
+Short operands keep the schoolbook loops, which are faster there. One
+Z-division loop, _divmod_z, serves exact division, the PRS
+pseudo-remainders and congruence.reduce_mod.
 """
 
 from __future__ import annotations
@@ -165,29 +167,32 @@ def _kronecker_div(a, b):
     return False
 
 
-def _long_div(a, b):
-    # Long division in Z[q]; returns the quotient's coefficients or None
-    # when either a leading coefficient fails to divide or a remainder
-    # survives.
+def _divmod_z(a, b):
+    # Long division in Z[q]: (quo, rem) with a = quo*b + rem and
+    # len(rem) < len(b), or None when a leading coefficient does not divide.
     db = len(b) - 1
     lb = b[-1]
     rem = list(a)
     dr = len(rem) - 1
-    q = [0] * (dr - db + 1)
+    quo = [0] * max(dr - db + 1, 0)
     while dr >= db:
         lead = rem[dr]
         if lead:
             step, r = divmod(lead, lb)
             if r:
                 return None
-            q[dr - db] = step
+            quo[dr - db] = step
             off = dr - db
             for i, c in enumerate(b):
                 rem[off + i] -= step * c
         dr -= 1
-    if any(rem):
-        return None
-    return q
+    return quo, _strip(rem)
+
+
+def _long_div(a, b):
+    # The quotient's coefficients, or None when b does not divide a in Z[q].
+    qr = _divmod_z(a, b)
+    return None if qr is None or qr[1] else qr[0]
 
 
 class Poly:
@@ -420,21 +425,19 @@ ONE = Poly((1,))
 Q = Poly((0, 1))
 
 
-def _pseudo_rem(a: Poly, b: Poly) -> Poly:
-    # prem(a, b): repeatedly scale by lead(b) so each cancellation stays in Z[q].
-    db = b.degree
-    lb = b.leading
-    r = a
-    while r and r.degree >= db:
-        r = lb * r - r.leading * b.shifted(r.degree - db)
-    return r
+def _pseudo_divmod(a: Poly, b: Poly):
+    # (k, quo, rem) with k*a = quo*b + rem, deg rem < deg b and
+    # k = lead(b)^max(deg a - deg b + 1, 0): scaling a by k makes every step
+    # of the long division exact. For a monic b this is plain divmod.
+    k = b.leading ** max(len(a) - len(b) + 1, 0)
+    quo, rem = _divmod_z([k * c for c in a._c], b._c)
+    return k, _mk(quo), _mk(rem)
 
 
 def _prs_gcd(a: Poly, b: Poly) -> Poly:
     # primitive pseudo-remainder sequence on primitive inputs
     while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, r.primitive()
+        a, b = b, _pseudo_divmod(a, b)[2].primitive()
     return a
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .exact import ONE, Poly, QExpr, ZERO, _unpack, _width
+from .exact import ONE, Poly, QExpr, ZERO, _mk, _unpack, _width
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +89,7 @@ def q_binomial(n: int, k: int) -> Poly:
     coeffs = _unpack(x, k * (n - k) + 1, w)
     if coeffs is None or min(coeffs) < 0 or sum(coeffs) != total:
         raise ArithmeticError(f"[{n}, {k}] overflowed its {w}-byte slots")
-    return Poly(coeffs)
+    return _mk(coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -574,7 +574,6 @@ def _grid_a4():
         for n in _odd_range(3, 15)
         for a in range(2, n + 1, 2)
         for k in range(0, n - a)
-        if k != n - a
     ]
 
 
@@ -939,18 +938,11 @@ class VerdictRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerdictRecord":
-        verdict = Verdict.from_dict(
-            {
-                "status": data["status"],
-                "factors": data.get("factors", []),
-                "note": data.get("note", ""),
-            }
-        )
         return cls(
             statement=data["statement"],
             variant=data["variant"],
             params=tuple(sorted(data["params"].items())),
-            verdict=verdict,
+            verdict=Verdict.from_dict(data),
             elapsed_ms=int(data["elapsed_ms"]),
             hypothesis_error=data.get("hypothesis_error", ""),
         )

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcong.exact import ONE, Poly, QExpr, ZERO
+from qcong.exact import ONE, Poly, QExpr, ZERO, gcd_rational
 from qcong.cyclotomic import CycloModulus, cyclotomic, factor_q_integer
 from qcong.congruence import (
     CanonicalRep,
@@ -179,3 +179,83 @@ def test_congruence_agrees_with_reduce_mod():
         b = QExpr(Poly([rng.randint(-3, 3) for _ in range(rng.randint(0, 6))]))
         same_rep = reduce_mod(a - b, m).poly == ZERO
         assert check_congruence(a, b, m).ok == same_rep
+
+
+REDUCE_MODULI = [
+    PHI(3, 2),
+    PHI(5, 2),
+    PHI(7, 3),
+    CycloModulus(((1, 2), (2, 1))),
+    CycloModulus(((4, 1), (8, 2))),
+    factor_q_integer(12),
+]
+
+
+def _reduce_cases(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        m = REDUCE_MODULI[i % len(REDUCE_MODULI)]
+        num = Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 15))])
+        den = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 12))])
+        while not den:
+            den = Poly([rng.randint(-9, 9)])
+        if rng.random() < 0.2:
+            den = den * cyclotomic(rng.choice(m.factors)[0])
+        yield num, den, rng.randint(-12, 12), m
+
+
+def test_reduce_mod_residue_is_congruent_reduced_and_primitive():
+    for num, den, shift, m in _reduce_cases(41, 240):
+        mpoly = m.poly()
+        expr = QExpr(num, den).shifted(shift)
+        # the canonical parts: a factor shared with num has cancelled
+        num, den, shift = expr.num, expr.den, expr.shift
+        if gcd_rational(den, mpoly).degree > 0:
+            with pytest.raises(NotInvertibleError):
+                reduce_mod(expr, m)
+            continue
+        r = reduce_mod(expr, m)
+        if not r.poly:
+            assert r.scale == 1
+        else:
+            assert r.scale > 0 and r.poly.content() == 1
+            assert r.poly.degree < mpoly.degree
+        # scale * poly * den - num * q^shift is a multiple of M, written
+        # in Z[q] by clearing scale's denominator and a negative q-power
+        a, b = r.scale.numerator, r.scale.denominator
+        lhs = a * r.poly * den.shifted(max(-shift, 0))
+        rhs = b * num.shifted(max(shift, 0))
+        assert (lhs - rhs).try_exact_div(mpoly) is not None
+
+
+def test_reduce_mod_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def to_sympy(p):
+        return sympy.Poly(list(reversed(p.coeffs)) or [0], q, domain="QQ")
+
+    for num, den, shift, m in _reduce_cases(43, 120):
+        mpoly = to_sympy(m.poly())
+        expr = QExpr(num, den).shifted(shift)
+        num, den, shift = expr.num, expr.den, expr.shift
+        # expr = num * q^shift / den: move the q-power to the polynomial side
+        n_s = to_sympy(num.shifted(max(shift, 0)))
+        d_s = to_sympy(den.shifted(max(-shift, 0)))
+        if sympy.gcd(d_s, mpoly).degree() > 0:
+            with pytest.raises(NotInvertibleError):
+                reduce_mod(expr, m)
+            continue
+        want = (n_s * d_s.invert(mpoly)).rem(mpoly)
+        r = reduce_mod(expr, m)
+        assert want == to_sympy(r.poly) * sympy.Rational(
+            r.scale.numerator, r.scale.denominator)
+
+
+def test_reduce_mod_of_the_t1_difference_at_21_20():
+    from qcong.statements import REGISTRY
+
+    built = REGISTRY["t1"].build({"n": 21, "alpha": 20}, "as_printed")
+    assert str(built.modulus) == "Phi_21^2"
+    r = reduce_mod(built.lhs - built.rhs, built.modulus)
+    assert r.poly == ZERO and r.scale == 1

@@ -34,6 +34,21 @@ def test_number_theory_helpers():
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
 
+def test_is_prime_and_mobius_match_brute_force():
+    top = 2000
+    # mu(1) = 1 and sum of mu(d) over d | n vanishes for every n > 1
+    mu = [0, 1] + [0] * (top - 1)
+    for d in range(1, top + 1):
+        for m in range(2 * d, top + 1, d):
+            mu[m] -= mu[d]
+    for n in range(-5, top + 1):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, n))), n
+        if n >= 1:
+            assert mobius(n) == mu[n], n
+    with pytest.raises(ValueError):
+        mobius(0)
+
+
 def test_small_cyclotomics():
     assert cyclotomic(1) == Poly([-1, 1])
     assert cyclotomic(2) == Poly([1, 1])

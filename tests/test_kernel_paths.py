@@ -3,9 +3,10 @@
 Kronecker multiplication against schoolbook multiplication, Kronecker
 exact division against long division, and GCDHEU against the primitive
 pseudo-remainder sequence, on seeded random operands on both sides of each
-crossover length. Gaussian binomials from the packed ratio recurrence are
-checked against the Pochhammer quotient and, for large rows, against their
-values at q = 1, 2, -2 and 3. A last block cross-checks products, gcds and
+crossover length; pseudo-division is checked against its defining
+identity. Gaussian binomials from the packed ratio recurrence are checked
+against the Pochhammer quotient and, for large rows, against their values
+at q = 1, 2, -2 and 3. A last block cross-checks products, gcds and
 cyclotomic remainders against sympy when it is installed.
 """
 
@@ -108,6 +109,29 @@ def test_divide_matches_long_division():
                         None if want is None else tuple(want))
                     assert Poly(r).try_exact_div(Poly(b)) == (
                         None if want is None else Poly(want))
+
+
+def test_pseudo_divmod_identity():
+    rng = random.Random(SEED + 7)
+    for lb in (1, 2, 3, 6, 11):
+        for la in (0, 1, lb - 1, lb, lb + 1, 3 * lb + 2):
+            a = rand_poly(rng, la, rng.randint(1, 60))
+            b = rand_poly(rng, lb, rng.randint(1, 40))
+            if rng.random() < 0.5:
+                b = -b
+            if abs(b.leading) == 1:
+                b = b + Poly.monomial(lb - 1, 3 * b.leading)
+            k, quo, rem = ex._pseudo_divmod(a, b)
+            assert k == b.leading ** max(la - lb + 1, 0)
+            assert k * a == quo * b + rem
+            assert len(rem) < len(b)
+            if la < lb:
+                assert (k, quo, rem) == (1, ZERO, a)
+    # a monic divisor gives plain divmod
+    b = Poly([4, -7, 1])
+    a = Poly([3, 0, 5, 2, 9])
+    k, quo, rem = ex._pseudo_divmod(a, b)
+    assert k == 1 and quo * b + rem == a and len(rem) < 3
 
 
 def test_divide_over_q_but_not_over_z():

@@ -119,8 +119,8 @@ def select_statements(selector: str):
     if selector == "all":
         return list(REGISTRY.values())
     out = []
-    for tag in selector.split(","):
-        tag = tag.strip()
+    # a repeated tag runs once, at its first position
+    for tag in dict.fromkeys(t.strip() for t in selector.split(",")):
         if tag not in REGISTRY:
             raise UsageError(f"unknown statement {tag!r}")
         out.append(REGISTRY[tag])

@@ -680,7 +680,7 @@ class QExpr:
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
         dv = self._den(x)
-        if dv == 0:
+        if dv == 0 or (x == 0 and self._shift < 0):
             raise ZeroDivisionError(f"pole at q = {x}")
         return self._num(x) * x ** self._shift / dv
 

@@ -4,9 +4,12 @@ Fermat quotient, and three flavors of q-harmonic sums.
 
 All results are exact. Gaussian binomials come from their ratio
 recurrence on coefficients packed into one integer (see q_binomial), so
-no large polynomial division is needed. The heavily reused constructors
-are memoized since statement verification calls them across overlapping
-parameter grids.
+no large polynomial division is needed; the Fermat quotient's Pochhammer
+ratio is a product of shift-adds. Every sum of c/(1 - q^m), the q-harmonic
+sums among them, goes through frac_sum: the terms are added over their
+known common denominator, a product of cyclotomic polynomials, and the sum
+is reduced once. The heavily reused constructors are memoized since
+statement verification calls them across overlapping parameter grids.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .cyclotomic import cyclotomic, divisors
 from .exact import ONE, Poly, QExpr, ZERO, _mk, _unpack, _width
 
 
@@ -93,53 +97,57 @@ def q_binomial(n: int, k: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _odd_half_product(n: int) -> Poly:
-    # prod_{k=1}^{n-1} (1 + q^k), the m=2 Fermat quotient core
-    out = ONE
-    for k in range(1, n):
-        out = out + out.shifted(k)
-    return out
-
-
-@lru_cache(maxsize=None)
 def q_fermat_quotient(m: int, n: int) -> QExpr:
     """((q^m;q^m)_{n-1} / (q;q)_{n-1} - 1) / [n].
 
     At q = 1 this degenerates to the classical Fermat quotient
-    (m^(n-1) - 1)/n. For m = 2 the inner quotient collapses to the
-    polynomial prod_{k<n} (1 + q^k), so only one division happens.
+    (m^(n-1) - 1)/n. The inner quotient is the polynomial
+    prod_{j<n} (1 + q^j + ... + q^((m-1)j)), built by shift-adds, so only
+    the final division by [n] is a fraction.
     """
     if m < 1 or n < 1:
         raise ValueError("q_fermat_quotient needs m >= 1 and n >= 1")
-    if m == 2:
-        return QExpr(_odd_half_product(n) - 1, q_integer(n))
-    ratio = QExpr(q_pochhammer(m, n - 1), q_pochhammer(1, n - 1))
-    return (ratio - 1) / QExpr(q_integer(n))
+    ratio = ONE
+    for j in range(1, n):
+        ratio = sum((ratio.shifted(i * j) for i in range(m)), ZERO)
+    return QExpr(ratio - 1, q_integer(n))
 
 
-_HARMONIC_KINDS = ("plain_even", "alternating", "alternating_q")
-_harmonic_prefix: dict[str, list[QExpr]] = {}
+def frac_sum(terms) -> QExpr:
+    """sum c / (1 - q^m) over the pairs (c, m), c a Poly or int, m >= 1.
+
+    1 - q^m = -prod_{d | m} Phi_d, so L = prod Phi_d over every d dividing
+    some m is a common denominator: each term is c * L / (1 - q^m) over L,
+    by one exact division, and the sum is canonicalized once.
+
+    >>> frac_sum([(1, 1), (Poly([1, 1]), 2)]) == QExpr(2, Poly([1, -1]))
+    True
+    """
+    terms = list(terms)
+    den = ONE
+    for d in sorted({d for _, m in terms for d in divisors(m)}):
+        den = den * cyclotomic(d)
+    num = ZERO
+    for c, m in terms:
+        num = num + c * den.exact_div(ONE - Poly.monomial(m))
+    return QExpr(num, den)
 
 
 def q_harmonic(kind: str, bound: int) -> QExpr:
     """Partial q-harmonic sum up to the given bound; 0 for bound = 0.
 
     kind "plain_even" sums 1/[2k], "alternating" sums (-1)^k/[k], and
-    "alternating_q" sums (-q)^k/[k], each for k = 1..bound.
+    "alternating_q" sums (-q)^k/[k], each for k = 1..bound, through
+    frac_sum with 1/[k] = (1 - q)/(1 - q^k).
     """
-    if kind not in _HARMONIC_KINDS:
+    one_minus_q = Poly([1, -1])
+    term = {
+        "plain_even": lambda k: (one_minus_q, 2 * k),
+        "alternating": lambda k: ((-1) ** k * one_minus_q, k),
+        "alternating_q": lambda k: ((-1) ** k * one_minus_q.shifted(k), k),
+    }.get(kind)
+    if term is None:
         raise ValueError(f"unknown harmonic kind {kind!r}")
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    prefix = _harmonic_prefix.setdefault(kind, [QExpr(0)])
-    while len(prefix) <= bound:
-        k = len(prefix)
-        sign = -1 if k % 2 else 1
-        if kind == "plain_even":
-            term = QExpr(1, q_integer(2 * k))
-        elif kind == "alternating":
-            term = QExpr(sign, q_integer(k))
-        else:
-            term = QExpr(sign, q_integer(k)).shifted(k)
-        prefix.append(prefix[-1] + term)
-    return prefix[bound]
+    return frac_sum(map(term, range(1, bound + 1)))

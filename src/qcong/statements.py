@@ -12,8 +12,10 @@ minimal repair, both verdicts are reported side by side, and the
 statement's canonical variant names the one believed true. Nothing is
 silently substituted.
 
-Sums are materialized term by term; no closed forms are used anywhere, so
-verification exercises the same objects the statements manipulate.
+No closed forms are used anywhere, so verification exercises the same
+objects the statements manipulate. Each term of a sum is still formed
+individually; sums of c/(1 - q^m) add them over their known common
+denominator, a product of cyclotomic polynomials (frac_sum).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .cyclotomic import CycloModulus, factor_q_integer, is_prime
 from .euler import euler_polynomial_value
 from .exact import ONE, Poly, QExpr
 from .qcombinatorics import (
+    frac_sum,
     q_binomial,
     q_fermat_quotient,
     q_harmonic,
@@ -121,19 +124,15 @@ def _double_sum(n: int, alpha: int) -> Poly:
 
 def _alt_frac_sum(bound: int, offset: int, q_weight: bool) -> QExpr:
     """sum_{k=1}^{bound} (-1)^k q^(k if q_weight) / (1 - q^(k+offset))."""
-    total = QExpr(0)
-    for k in range(1, bound + 1):
-        term = QExpr((-1) ** k, _one_minus_qpow(k + offset))
-        total = total + (term.shifted(k) if q_weight else term)
-    return total
+    return frac_sum(
+        (Poly.monomial(k if q_weight else 0, (-1) ** k), k + offset)
+        for k in range(1, bound + 1)
+    )
 
 
 def _even_recip_sum(bound: int) -> QExpr:
     """sum_{k=1}^{bound} 1/(1 - q^(2k))."""
-    total = QExpr(0)
-    for k in range(1, bound + 1):
-        total = total + QExpr(1, _one_minus_qpow(2 * k))
-    return total
+    return frac_sum((1, 2 * k) for k in range(1, bound + 1))
 
 
 def _fermat_over_1mq(n: int) -> QExpr:
@@ -370,9 +369,7 @@ def _build_a5(p, variant):
 def _build_a6(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(q_binomial(n + a - 1, a - 1))
-    ratio_sum = QExpr(0)
-    for i in range(1, a):
-        ratio_sum = ratio_sum + QExpr(ONE + Poly.monomial(i), _one_minus_qpow(i))
+    ratio_sum = frac_sum((ONE + Poly.monomial(i), i) for i in range(1, a))
     rhs = (
         QExpr(q_binomial(n - 1, n - a))
         * ((-1) ** (a - 1))
@@ -385,9 +382,7 @@ def _build_a6(p, variant):
 def _build_a7(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(q_binomial(n - 1, a - 1))
-    recip_sum = QExpr(0)
-    for i in range(1, a):
-        recip_sum = recip_sum + QExpr(1, _one_minus_qpow(i))
+    recip_sum = frac_sum((1, i) for i in range(1, a))
     if variant == "as_printed":
         inner = 1 - recip_sum
     else:
@@ -453,11 +448,7 @@ def _b_corner(n: int, alpha: int) -> Poly:
 def _build_b2(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(_weighted_sum(n, a) - _b_corner(n, a))
-    tail = QExpr(0)
-    for k in range(1, n):
-        tail = tail + QExpr(
-            q_integer(k) * ((-1) ** k), _one_minus_qpow(k + a)
-        )
+    tail = frac_sum(((-1) ** k * q_integer(k), k + a) for k in range(1, n))
     rhs = QExpr(_one_minus_qpow(n)) * tail + QExpr(q_integer(n - a))
     return QCongruence(lhs, rhs, _phi(n, 2))
 

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +194,15 @@ def test_report_json_one_entry_per_statement(capsys):
     assert info["cells"] == info["holds"] == 12
 
 
+def test_repeated_statement_tags_run_once_in_first_seen_order(capsys):
+    assert main(["verify", "--statement", "t1,t1", "--n", "3"]) == 0
+    assert "1 cells: 1 holds" in capsys.readouterr().out
+    assert main(["report", "--statement", "lemma_a2,pan1,lemma_a2",
+                 "--format", "json"]) == 0
+    entries = json.loads(capsys.readouterr().out)
+    assert [e["statement"] for e in entries] == ["lemma_a2", "pan1"]
+
+
 def test_report_csv_flat_rows(capsys):
     assert main(["report", "--statement", "cong_t0a",
                  "--format", "csv"]) == 0
@@ -204,6 +215,14 @@ def test_help_and_missing_command():
     assert main(["--help"]) == 0
     assert main([]) == 2
     assert main(["bogus"]) == 2
+
+
+def test_readme_python_example_runs():
+    # the README's Python API snippet asserts its own claims
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_console_module_smoke():

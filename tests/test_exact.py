@@ -209,6 +209,10 @@ def test_qexpr_evaluation():
     # exact at q = 1 whatever the shift
     third = QExpr(1, 3).shifted(-4).eval_at_one()
     assert third == Fraction(1, 3) and type(third) is Fraction
+    # a negative q-shift is a pole at q = 0, reported like any other pole
+    with pytest.raises(ZeroDivisionError, match="pole at q = 0"):
+        QExpr(1).shifted(-2)(0)
+    assert QExpr(1).shifted(2)(0) == 0
 
 
 def test_qexpr_hash_and_sets():

@@ -82,11 +82,12 @@ def test_q_fermat_quotient_m2_denominator_coprime_to_phi_n():
     for n in (3, 5, 7, 9, 11):
         fq = q_fermat_quotient(2, n)
         assert phi_valuation(fq.den, n) == 0
-    # general-m path agrees with the m=2 shortcut
-    for n in (2, 3, 4, 5, 6):
-        ratio = QExpr(q_pochhammer(2, n - 1), q_pochhammer(1, n - 1))
-        raw = (ratio - 1) / QExpr(q_integer(n))
-        assert raw == q_fermat_quotient(2, n)
+    # the shift-add product agrees with the Pochhammer quotient
+    for m in (1, 2, 3, 4):
+        for n in range(1, 31):
+            ratio = QExpr(q_pochhammer(m, n - 1), q_pochhammer(1, n - 1))
+            raw = (ratio - 1) / QExpr(q_integer(n))
+            assert raw == q_fermat_quotient(m, n)
 
 
 def test_q_harmonic_values():
@@ -103,17 +104,16 @@ def test_q_harmonic_values():
 
 
 def test_q_harmonic_matches_slow_reference():
-    for bound in range(0, 9):
-        plain = QExpr(0)
-        alt = QExpr(0)
-        altq = QExpr(0)
-        for k in range(1, bound + 1):
+    # term-by-term reference, accumulated once across the bounds
+    plain = alt = altq = QExpr(0)
+    for k in range(0, 41):
+        if k:
             plain = plain + QExpr(1, q_integer(2 * k))
             alt = alt + QExpr((-1) ** k, q_integer(k))
             altq = altq + QExpr(Poly.monomial(k, (-1) ** k), q_integer(k))
-        assert q_harmonic("plain_even", bound) == plain
-        assert q_harmonic("alternating", bound) == alt
-        assert q_harmonic("alternating_q", bound) == altq
+        assert q_harmonic("plain_even", k) == plain
+        assert q_harmonic("alternating", k) == alt
+        assert q_harmonic("alternating_q", k) == altq
 
 
 def test_q_harmonic_q1_shadow():

@@ -5,6 +5,8 @@ import pytest
 
 from qcong.congruence import Status
 from qcong.cyclotomic import CycloModulus
+from qcong.exact import ONE, Poly, QExpr
+from qcong.qcombinatorics import q_binomial, q_integer
 from qcong.statements import (
     REGISTRY,
     HypothesisViolation,
@@ -12,7 +14,10 @@ from qcong.statements import (
     QCongruence,
     RationalIdentity,
     VerdictRecord,
+    _alt_frac_sum,
+    _even_recip_sum,
     _fk,
+    _grid_steps,
     evaluate_built,
     m_star,
     run_cell,
@@ -138,6 +143,44 @@ def test_fk_zero_term_is_single_q_binomial():
     from qcong.qcombinatorics import q_binomial
 
     assert _fk(7, 4, 0) == q_binomial(10, 6)
+
+
+def _one_minus_qpow(m):
+    return ONE - Poly.monomial(m)
+
+
+def test_reciprocal_sums_match_term_by_term_reference():
+    # the reference adds one QExpr per term
+    zero = QExpr(0)
+    for cell in _grid_steps():
+        n, a = cell["n"], cell["alpha"]
+        ks = range(1, n)
+        for offset in (0, a):
+            plain = [QExpr((-1) ** k, _one_minus_qpow(k + offset)) for k in ks]
+            assert _alt_frac_sum(n - 1, offset, False) == sum(plain, zero)
+            weighted = [t.shifted(k) for k, t in zip(ks, plain)]
+            assert _alt_frac_sum(n - 1, offset, True) == sum(weighted, zero)
+        even = [QExpr(1, _one_minus_qpow(2 * k)) for k in range(1, (n + 1) // 2)]
+        assert _even_recip_sum((n - 1) // 2) == sum(even, zero)
+        # step_a6, step_a7 (both variants) and step_b2, with the sum inside
+        # their right side added term by term
+        one_minus_qn = QExpr(_one_minus_qpow(n))
+        ratio_sum = sum([QExpr(ONE + Poly.monomial(i), _one_minus_qpow(i))
+                         for i in range(1, a)], zero)
+        a6 = (QExpr(q_binomial(n - 1, n - a)) * (-1) ** (a - 1)
+              * QExpr(1).shifted(math.comb(a, 2))
+              * (1 + one_minus_qn * ratio_sum))
+        assert REGISTRY["step_a6"].build(cell, "as_printed").rhs == a6
+        recip_sum = sum([QExpr(1, _one_minus_qpow(i)) for i in range(1, a)],
+                        zero)
+        sign = QExpr((-1) ** (a - 1)).shifted(-math.comb(a, 2))
+        for variant, inner in (("as_printed", 1 - recip_sum),
+                               ("corrected", 1 - one_minus_qn * recip_sum)):
+            assert REGISTRY["step_a7"].build(cell, variant).rhs == sign * inner
+        tail = sum([QExpr((-1) ** k * q_integer(k), _one_minus_qpow(k + a))
+                    for k in ks], zero)
+        b2 = one_minus_qn * tail + QExpr(q_integer(n - a))
+        assert REGISTRY["step_b2"].build(cell, "as_printed").rhs == b2
 
 
 def test_m_star_examples_and_q1_bridge():

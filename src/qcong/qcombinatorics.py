@@ -1,14 +1,16 @@
 """Constructors for the standard q-objects: q-integers, Pochhammer products
-of the form prod (1 - q^(m*j)), Gaussian binomials, the q-analogue of the
-Fermat quotient, and three flavors of q-harmonic sums.
+of the form prod (1 - q^(m*j)), Gaussian binomials, the sums of the
+theorem terms f_k, the q-analogue of the Fermat quotient, and three
+flavors of q-harmonic sums.
 
-All results are exact. Gaussian binomials come from their ratio
-recurrence on coefficients packed into one integer (see q_binomial), so
-no large polynomial division is needed; the Fermat quotient's Pochhammer
-ratio is a product of shift-adds. Every sum of c/(1 - q^m), the q-harmonic
-sums among them, goes through frac_sum: the terms are added over their
-known common denominator, a product of cyclotomic polynomials, and the sum
-is reduced once. The heavily reused constructors are memoized since
+All results are exact. Gaussian binomials and the f_k sums come from
+ratio recurrences on coefficients packed into one integer, where every
+division by 1 - q^j goes through one checked loop (_div_one_minus_qpow),
+so no large polynomial division or product is needed; the Fermat
+quotient's Pochhammer ratio is a product of shift-adds. Every sum of
+c/(1 - q^m), the q-harmonic sums among them, goes through frac_sum: the
+terms are added over their known common denominator, a product of
+cyclotomic polynomials, and the sum is reduced once. The heavily reused constructors are memoized since
 statement verification calls them across overlapping parameter grids.
 """
 
@@ -18,7 +20,7 @@ import math
 from functools import lru_cache
 
 from .cyclotomic import cyclotomic, divisors
-from .exact import ONE, Poly, QExpr, ZERO, _mk, _unpack, _width
+from .exact import ONE, Poly, QExpr, ZERO, _mk, _pack, _unpack, _width
 
 
 @lru_cache(maxsize=None)
@@ -61,32 +63,17 @@ def q_binomial(n: int, k: int) -> Poly:
     if k < 0 or k > n:
         return ZERO
     k = min(k, n - k)
-    # Width: the coefficients of [n, j] are nonnegative and sum to
-    # C(n, j) <= C(n, k). Times (1 - q^m) they stay within 2 C(n, k), and
-    # every partial sum of the stride-j doubling below telescopes to
-    # y_i - y_(i-s), also within 2 C(n, k). W - 1 >= bits(C(n, k)) + 2 keeps
-    # all of these inside a slot, so every integer below is its polynomial
-    # at B digit for digit, and both checks below pass.
+    # Width: [n, j] has coefficients >= 0 that sum to C(n, j) <= C(n, k),
+    # so W - 1 >= bits(C(n, k)) + 1 keeps every quotient read below within
+    # what _div_one_minus_qpow can read; + 2 leaves a bit to spare.
     total = math.comb(n, k)
     w = _width(total.bit_length() + 2)
     bits = 8 * w
     x = 1
     for j in range(1, k + 1):
+        # [n, j] = [n, j-1] (1 - q^(n-j+1)) / (1 - q^j)
         x -= x << ((n - j + 1) * bits)
-        # x = (1 - B^j) [n, j](B); y = x (1 + B^j + ... + B^(s-j))
-        # = [n, j](B) (1 - B^s) once s reaches the length j(n-j) + 1
-        size = j * (n - j) + 1
-        y, s = x, j
-        while s < size:
-            y += y << (s * bits)
-            s *= 2
-        top = 1 << (s * bits - 1)
-        low = ((y + top) & ((top << 1) - 1)) - top
-        # x = (1 - B^j) low in Z: the division is exact, so after k steps
-        # x = [n, k](B)
-        if x != low - (low << (j * bits)):
-            raise ArithmeticError(f"[{n}, {j}] did not divide exactly")
-        x = low
+        x = _div_one_minus_qpow(x, j, j * (n - j) + 1, bits)
     # Base-B digits that are all >= 0 and sum to [n, k](1) = C(n, k) are
     # [n, k]'s own coefficients: those are >= 0 too, and every carry
     # between slots would lower the digit sum by B - 1.
@@ -94,6 +81,97 @@ def q_binomial(n: int, k: int) -> Poly:
     if coeffs is None or min(coeffs) < 0 or sum(coeffs) != total:
         raise ArithmeticError(f"[{n}, {k}] overflowed its {w}-byte slots")
     return _mk(coeffs)
+
+
+def _div_one_minus_qpow(x: int, j: int, size: int, bits: int) -> int:
+    """x / (1 - B^j) at B = 2^bits, for a quotient of at most size digits.
+
+    Multiplying x = (1 - B^j) Q(B) by 1 + B^j + ... + B^(s-j), by doubling
+    the stride s, gives Q(B) (1 - B^s); once s >= size its low s digits,
+    read balanced, are Q(B) whenever every coefficient of Q is at most
+    2^(bits-1) - 1 in absolute value. The quotient is checked against x
+    exactly, so a division that is not exact, or a Q too wide for its
+    slots, raises ArithmeticError instead of returning a wrong integer.
+    """
+    y, s = x, j
+    while s < size:
+        y += y << (s * bits)
+        s *= 2
+    top = 1 << (s * bits - 1)
+    low = ((y + top) & ((top << 1) - 1)) - top
+    if x != low - (low << (j * bits)):
+        raise ArithmeticError(f"1 - q^{j} did not divide exactly")
+    return low
+
+
+def fk_sums(n: int, alpha: int) -> tuple[Poly, Poly, Poly]:
+    """The sums of f_k = q^C(k+1,2) [alpha+k-1, k] [alpha+n-1, n-1-k], k < n.
+
+    Returns (sum f_k, sum f_k [k], sum_j q^j sum_(k<=j) f_k), j < n. All
+    terms are formed on one integer packed at B = 2^W: f_0 is
+    [alpha+n-1, n-1], and
+    f_(k+1) = f_k q^(k+1) (1 - q^(alpha+k)) (1 - q^(n-1-k))
+              / ((1 - q^(k+1)) (1 - q^(alpha+k+1))),
+    taken in two exact halves, each of which leaves a polynomial. With
+    sum f_k [k] = sum f_k (1 - q^k) / (1 - q) and
+    sum_j q^j sum_(k<=j) f_k = sum f_k (q^k - q^n) / (1 - q), only the
+    sums of f_k and f_k q^k are accumulated, and 1 - q divides twice.
+
+    >>> fk_sums(2, 2)
+    (Poly([1, 2, 2]), Poly([0, 1, 1]), Poly([1, 2, 3, 2]))
+    """
+    if n < 1 or alpha < 1:
+        raise ValueError("fk_sums needs n >= 1 and alpha >= 1")
+    vals = [math.comb(alpha + k - 1, k) * math.comb(alpha + n - 1, n - 1 - k)
+            for k in range(n)]
+    want = (sum(vals), sum(k * v for k, v in enumerate(vals)),
+            sum((n - k) * v for k, v in enumerate(vals)))
+    # Width: every polynomial read below has coefficients >= 0, so each
+    # is bounded by its value at q = 1. These are the mid-step
+    # [alpha+k, k+1] [alpha+n-1, n-1-k], each next term and the plain sum
+    # (at most want[0]), and the weighted and double sums (want[1] and
+    # want[2] >= want[0], since n - k >= 1). The mid-step can exceed all
+    # three sums, as at (n, alpha) = (2, 3). W - 1 >= bits(peak) + 1 keeps
+    # every one of them below 2^(W-1) - 1, as _div_one_minus_qpow needs.
+    peak = max(want + tuple(
+        math.comb(alpha + k, k + 1) * math.comb(alpha + n - 1, n - 1 - k)
+        for k in range(n - 1)))
+    w = _width(peak.bit_length() + 1)
+    bits = 8 * w
+
+    def deg(k):  # of [alpha+k-1, k] [alpha+n-1, n-1-k]
+        return k * (alpha - 1) + (n - 1 - k) * (alpha + k)
+
+    x = _pack(q_binomial(alpha + n - 1, n - 1).coeffs, w)
+    plain = shifted = 0  # sums of f_k(B) and of f_k(B) B^k
+    top = 0  # the largest degree of f_k
+    for k in range(n):
+        lift = math.comb(k + 1, 2)
+        top = max(top, lift + deg(k))
+        f = x << (lift * bits)
+        plain += f
+        shifted += f << (k * bits)
+        if k == n - 1:
+            break
+        # [alpha+k-1, k] -> [alpha+k, k+1], then
+        # [alpha+n-1, n-1-k] -> [alpha+n-1, n-2-k]
+        x -= x << ((alpha + k) * bits)
+        x = _div_one_minus_qpow(x, k + 1, deg(k) + alpha, bits)
+        x -= x << ((n - 1 - k) * bits)
+        x = _div_one_minus_qpow(x, alpha + k + 1, deg(k + 1) + 1, bits)
+    weighted = _div_one_minus_qpow(plain - shifted, 1, top + n, bits)
+    double = _div_one_minus_qpow(shifted - (plain << (n * bits)), 1,
+                                 top + n, bits)
+    # as in q_binomial: digits >= 0 that sum to the value at q = 1 are
+    # the coefficients themselves, since a carry would lower the sum
+    sums = []
+    for v, total in zip((plain, weighted, double), want):
+        coeffs = _unpack(v, top + n, w)
+        if coeffs is None or min(coeffs) < 0 or sum(coeffs) != total:
+            raise ArithmeticError(
+                f"f_k sums at n={n}, alpha={alpha} overflowed {w}-byte slots")
+        sums.append(_mk(coeffs))
+    return tuple(sums)
 
 
 @lru_cache(maxsize=None)

@@ -13,8 +13,10 @@ statement's canonical variant names the one believed true. Nothing is
 silently substituted.
 
 No closed forms are used anywhere, so verification exercises the same
-objects the statements manipulate. Each term of a sum is still formed
-individually; sums of c/(1 - q^m) add them over their known common
+objects the statements manipulate. The sums of the theorem terms
+f_k = q^C(k+1,2) [alpha+k-1, k] [alpha+n-1, n-1-k] come from fk_sums,
+which steps from one term to the next by their exact ratio on a packed
+integer; sums of c/(1 - q^m) add their terms over the known common
 denominator, a product of cyclotomic polynomials (frac_sum).
 """
 
@@ -31,6 +33,7 @@ from .cyclotomic import CycloModulus, factor_q_integer, is_prime
 from .euler import euler_polynomial_value
 from .exact import ONE, Poly, QExpr
 from .qcombinatorics import (
+    fk_sums,
     frac_sum,
     q_binomial,
     q_fermat_quotient,
@@ -88,38 +91,6 @@ def _one_minus_qpow(k: int) -> Poly:
 
 def _phi(n: int, e: int = 1) -> CycloModulus:
     return CycloModulus.phi(n, e)
-
-
-def _fk(n: int, alpha: int, k: int) -> Poly:
-    """q^C(k+1,2) * qbinom(alpha+k-1, k) * qbinom(alpha+n-1, n-1-k)."""
-    return (
-        q_binomial(alpha + k - 1, k) * q_binomial(alpha + n - 1, n - 1 - k)
-    ).shifted(math.comb(k + 1, 2))
-
-
-def _sum_fk(n: int, alpha: int, start: int) -> Poly:
-    total = Poly()
-    for k in range(start, n):
-        total = total + _fk(n, alpha, k)
-    return total
-
-
-def _weighted_sum(n: int, alpha: int) -> Poly:
-    """sum_{k=1}^{n-1} f_k [k]."""
-    total = Poly()
-    for k in range(1, n):
-        total = total + _fk(n, alpha, k) * q_integer(k)
-    return total
-
-
-def _double_sum(n: int, alpha: int) -> Poly:
-    """sum_{j=0}^{n-1} q^j sum_{k=0}^{j} f_k."""
-    prefix = Poly()
-    total = Poly()
-    for j in range(n):
-        prefix = prefix + _fk(n, alpha, j)
-        total = total + prefix.shifted(j)
-    return total
 
 
 def _alt_frac_sum(bound: int, offset: int, q_weight: bool) -> QExpr:
@@ -213,7 +184,7 @@ def _b7_rhs(n: int, alpha: int) -> QExpr:
 
 def _build_t1(p, variant):
     n, a = p["n"], p["alpha"]
-    lhs = QExpr(_sum_fk(n, a, 0))
+    lhs = QExpr(fk_sums(n, a)[0])
     # k = 0 term (step_a11_a12) plus the k >= 1 tail (step_a10)
     rhs = _a10_rhs(n, a) + QExpr(q_integer(n), q_integer(a))
     return QCongruence(lhs, rhs, _phi(n, 2))
@@ -223,7 +194,7 @@ def _build_t2(p, variant):
     n, a = p["n"], p["alpha"]
     # step_b1 (corrected) followed by step_b7
     rhs = -QExpr(q_integer(n)) - _b7_rhs(n, a)
-    return QCongruence(QExpr(_double_sum(n, a)), rhs, _phi(n, 2))
+    return QCongruence(QExpr(fk_sums(n, a)[2]), rhs, _phi(n, 2))
 
 
 def _build_cor1a(p, variant):
@@ -361,7 +332,8 @@ def _a_corner(n: int, alpha: int) -> Poly:
 
 def _build_a5(p, variant):
     n, a = p["n"], p["alpha"]
-    lhs = QExpr(_sum_fk(n, a, 1) - _a_corner(n, a))
+    tail = fk_sums(n, a)[0] - q_binomial(a + n - 1, n - 1)
+    lhs = QExpr(tail - _a_corner(n, a))
     rhs = QExpr(_one_minus_qpow(n)) * _alt_frac_sum(n - 1, a, q_weight=False) + 1
     return QCongruence(lhs, rhs, _phi(n, 2))
 
@@ -416,25 +388,26 @@ def _build_a9(p, variant):
 
 def _build_a10(p, variant):
     n, a = p["n"], p["alpha"]
-    return QCongruence(QExpr(_sum_fk(n, a, 1)), _a10_rhs(n, a), _phi(n, 2))
+    tail = fk_sums(n, a)[0] - q_binomial(a + n - 1, n - 1)
+    return QCongruence(QExpr(tail), _a10_rhs(n, a), _phi(n, 2))
 
 
 def _build_a11_a12(p, variant):
     n, a = p["n"], p["alpha"]
-    lhs = QExpr(_fk(n, a, 0))
+    lhs = QExpr(q_binomial(a + n - 1, n - 1))
     rhs = QExpr(q_integer(n), q_integer(a))
     return QCongruence(lhs, rhs, _phi(n, 2))
 
 
 def _build_b1(p, variant):
     n, a = p["n"], p["alpha"]
+    _, weighted, double = fk_sums(n, a)
     qn = QExpr(q_integer(n))
-    weighted = QExpr(_weighted_sum(n, a))
     if variant == "as_printed":
-        rhs = qn - weighted
+        rhs = qn - QExpr(weighted)
     else:
-        rhs = -qn - weighted
-    return QCongruence(QExpr(_double_sum(n, a)), rhs, _phi(n, 2))
+        rhs = -qn - QExpr(weighted)
+    return QCongruence(QExpr(double), rhs, _phi(n, 2))
 
 
 def _b_corner(n: int, alpha: int) -> Poly:
@@ -447,7 +420,7 @@ def _b_corner(n: int, alpha: int) -> Poly:
 
 def _build_b2(p, variant):
     n, a = p["n"], p["alpha"]
-    lhs = QExpr(_weighted_sum(n, a) - _b_corner(n, a))
+    lhs = QExpr(fk_sums(n, a)[1] - _b_corner(n, a))
     tail = frac_sum(((-1) ** k * q_integer(k), k + a) for k in range(1, n))
     rhs = QExpr(_one_minus_qpow(n)) * tail + QExpr(q_integer(n - a))
     return QCongruence(lhs, rhs, _phi(n, 2))
@@ -499,7 +472,7 @@ def _build_b6(p, variant):
 
 def _build_b7(p, variant):
     n, a = p["n"], p["alpha"]
-    return QCongruence(QExpr(_weighted_sum(n, a)), _b7_rhs(n, a), _phi(n, 2))
+    return QCongruence(QExpr(fk_sums(n, a)[1]), _b7_rhs(n, a), _phi(n, 2))
 
 
 def _build_identity_t0(p, variant):

@@ -6,7 +6,10 @@ import pytest
 
 from qcong.exact import ONE, Poly, QExpr, ZERO
 from qcong.cyclotomic import cyclotomic, phi_valuation
+from qcong import qcombinatorics
 from qcong.qcombinatorics import (
+    _div_one_minus_qpow,
+    fk_sums,
     q_binomial,
     q_fermat_quotient,
     q_harmonic,
@@ -56,6 +59,82 @@ def test_q_binomial_symmetry_pascal_and_q1():
             assert all(c >= 0 for c in b.coeffs)
         if n >= 1 and k >= 0:
             assert b == q_binomial(n - 1, k - 1) + q_binomial(n - 1, k).shifted(k)
+
+
+def _fk_sums_reference(n, alpha):
+    # f_k from two q-binomials and one product each, added one by one
+    terms = [(q_binomial(alpha + k - 1, k) * q_binomial(alpha + n - 1, n - 1 - k))
+             .shifted(math.comb(k + 1, 2)) for k in range(n)]
+    plain = weighted = double = prefix = ZERO
+    for k, f in enumerate(terms):
+        plain = plain + f
+        weighted = weighted + f * q_integer(k)
+        prefix = prefix + f
+        double = double + prefix.shifted(k)
+    return plain, weighted, double
+
+
+def test_fk_sums_match_term_by_term_reference():
+    cells = [(n, a) for n in range(1, 22) for a in range(1, n + 3)]
+    for n, a in cells + [(51, 50)]:
+        assert fk_sums(n, a) == _fk_sums_reference(n, a), (n, a)
+    with pytest.raises(ValueError):
+        fk_sums(0, 2)
+    with pytest.raises(ValueError):
+        fk_sums(3, 0)
+
+
+def test_fk_sums_reject_slots_too_narrow(monkeypatch):
+    # one-byte slots: the sums at (3, 2) peak at 8, but the
+    # double sum at (6, 4) has a coefficient of 677 and wraps
+    small, big = _fk_sums_reference(3, 2), _fk_sums_reference(6, 4)
+    assert max(max(p.coeffs) for p in small) < 127 < max(big[2].coeffs)
+    monkeypatch.setattr(qcombinatorics, "_width", lambda bits: 1)
+    assert fk_sums(3, 2) == small
+    with pytest.raises(ArithmeticError):
+        fk_sums(6, 4)
+
+
+def test_fk_sums_slots_hold_the_mid_step(monkeypatch):
+    # at (2, 4) the mid-step [4, 1] [5, 1] is 20 at q = 1, above all three
+    # sums (9, 4 and 14), and the slots must hold it with a bit to spare
+    asked = []
+    width = qcombinatorics._width
+    monkeypatch.setattr(qcombinatorics, "_width",
+                        lambda bits: asked.append(bits) or width(bits))
+    assert max(p(1) for p in fk_sums(2, 4)) == 14
+    assert asked[-1] >= (20).bit_length() + 1
+
+
+def test_fk_sums_check_their_digits(monkeypatch):
+    # a faulty read of the packed sums: one digit made negative with the
+    # digit sum kept, or every digit kept >= 0 with the sum off by one
+    def negative(d):
+        return (d[0] + d[1] + 1, -1) + d[2:]
+
+    def off_by_one(d):
+        return (d[0] + 1,) + d[1:]
+
+    unpack = qcombinatorics._unpack
+    want = _fk_sums_reference(5, 4)  # caches [8, 4], so f_0 is read right
+    assert fk_sums(5, 4) == want
+    for fault in (negative, off_by_one):
+        monkeypatch.setattr(qcombinatorics, "_unpack",
+                            lambda v, n, w: fault(unpack(v, n, w)))
+        with pytest.raises(ArithmeticError):
+            fk_sums(5, 4)
+
+
+def test_packed_division_is_checked_exactly():
+    bits = 16
+    b = 1 << bits
+    # (1 - B^2) (1 + 3B) / (1 - B^2) = 1 + 3B
+    assert _div_one_minus_qpow((1 - b * b) * (1 + 3 * b), 2, 2, bits) == 1 + 3 * b
+    # 1 + B is not a multiple of 1 - B, nor 1 - B^3 of 1 - B^2
+    with pytest.raises(ArithmeticError):
+        _div_one_minus_qpow(1 + b, 1, 4, bits)
+    with pytest.raises(ArithmeticError):
+        _div_one_minus_qpow(1 - b ** 3, 2, 4, bits)
 
 
 def test_q_power():

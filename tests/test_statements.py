@@ -6,7 +6,7 @@ import pytest
 from qcong.congruence import Status
 from qcong.cyclotomic import CycloModulus
 from qcong.exact import ONE, Poly, QExpr
-from qcong.qcombinatorics import q_binomial, q_integer
+from qcong.qcombinatorics import fk_sums, q_binomial, q_integer
 from qcong.statements import (
     REGISTRY,
     HypothesisViolation,
@@ -16,7 +16,6 @@ from qcong.statements import (
     VerdictRecord,
     _alt_frac_sum,
     _even_recip_sum,
-    _fk,
     _grid_steps,
     evaluate_built,
     m_star,
@@ -139,10 +138,11 @@ def test_identity_t0_false_at_m_zero():
     assert all(c["m"] >= 1 for c in grid)
 
 
-def test_fk_zero_term_is_single_q_binomial():
-    from qcong.qcombinatorics import q_binomial
-
-    assert _fk(7, 4, 0) == q_binomial(10, 6)
+def test_a11_a12_lhs_is_single_q_binomial():
+    # the k = 0 term of the t1 sum is [alpha+n-1, n-1]
+    cell = {"n": 7, "alpha": 4}
+    assert REGISTRY["step_a11_a12"].build(cell, "as_printed").lhs == QExpr(
+        q_binomial(10, 6))
 
 
 def _one_minus_qpow(m):
@@ -186,12 +186,18 @@ def test_reciprocal_sums_match_term_by_term_reference():
 def test_m_star_examples_and_q1_bridge():
     assert m_star(1, 2) == 5
     assert m_star(0, 3) == 1
-    # q=1 specialization of the t1 summand matches the integer sum
+    # q=1 specialization of the t1 sum matches the integer sum
     for n, alpha in ((3, 2), (5, 2), (5, 4)):
-        total = sum(_fk(n, alpha, k)(1) for k in range(n))
-        assert total == m_star(n - 1, alpha)
+        assert fk_sums(n, alpha)[0](1) == m_star(n - 1, alpha)
     with pytest.raises(ValueError):
         m_star(2, 0)
+
+
+def test_t2_double_sum_at_q1_is_cor1b_lhs():
+    # cor1b is t2 at q -> 1 with n = p
+    for cell in REGISTRY["cor1b"].default_grid():
+        lhs = REGISTRY["cor1b"].build(cell, "as_printed").lhs
+        assert fk_sums(cell["p"], cell["alpha"])[2](1) == lhs
 
 
 def test_run_cell_hypothesis_violation_is_ill_posed():

@@ -201,6 +201,15 @@ def _exit_from(records) -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _verify_runs(runs, jobs) -> dict:
+    """Records of every (tag, variant, grid) run from one verify call, so
+    a command opens at most one process pool; keyed by (tag, variant)."""
+    grouped = {(tag, variant): [] for tag, variant, _ in runs}
+    for r in verify(runs, jobs=jobs):
+        grouped[(r.statement, r.variant)].append(r)
+    return grouped
+
+
 def cmd_verify(args) -> int:
     statements = select_statements(args.statement)
     overrides = collect_overrides(args)
@@ -210,8 +219,7 @@ def cmd_verify(args) -> int:
             raise UsageError(
                 f"--{name} does not apply to: {', '.join(missing)}"
             )
-    all_records = []
-    notes = []
+    runs = []
     for stmt in statements:
         variant = resolve_variant(stmt, args.variant)
         grid = build_grid(stmt, overrides)
@@ -220,7 +228,12 @@ def cmd_verify(args) -> int:
                 f"no parameter cell satisfies the hypotheses of {stmt.tag};"
                 " check the ranges"
             )
-        records = verify(stmt.tag, grid=grid, variant=variant, jobs=args.jobs)
+        runs.append((stmt.tag, variant, grid))
+    grouped = _verify_runs(runs, args.jobs)
+    all_records = []
+    notes = []
+    for stmt, (tag, variant, _) in zip(statements, runs):
+        records = grouped[(tag, variant)]
         if stmt.note and any(not r.verdict.ok for r in records):
             notes.append(f"note [{stmt.tag}]: {stmt.note}")
         all_records.extend(records)
@@ -312,13 +325,19 @@ def _compute(args):
 def cmd_report(args) -> int:
     selector = "all" if args.all or args.statement is None else args.statement
     statements = select_statements(selector)
+    variants = {}
+    for stmt in statements:
+        variants[stmt.tag] = [stmt.canonical_variant]
+        if stmt.canonical_variant != "as_printed":
+            variants[stmt.tag].append("as_printed")
+    grouped = _verify_runs(
+        [(tag, v, None) for tag, vs in variants.items() for v in vs],
+        args.jobs,
+    )
     per_cell = []
     entries = []
     canonical_records = []
     for stmt in statements:
-        variants = [stmt.canonical_variant]
-        if stmt.canonical_variant != "as_printed":
-            variants.append("as_printed")
         entry = {
             "statement": stmt.tag,
             "description": stmt.description,
@@ -327,8 +346,8 @@ def cmd_report(args) -> int:
         }
         if stmt.note:
             entry["note"] = stmt.note
-        for variant in variants:
-            records = verify(stmt.tag, variant=variant, jobs=args.jobs)
+        for variant in variants[stmt.tag]:
+            records = grouped[(stmt.tag, variant)]
             per_cell.extend(records)
             if variant == stmt.canonical_variant:
                 canonical_records.extend(records)
@@ -380,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
         p.add_argument("--output", metavar="FILE", default=None)
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes, clamped to [1, cpu count]"
+                       help="worker processes, clamped to [1, usable CPUs]"
                        " (default: $QCONG_JOBS or 1)")
 
     pv = sub.add_parser("verify", help="check statements over parameter grids")
@@ -420,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_jobs(jobs):
-    """--jobs, else $QCONG_JOBS, else 1; clamped to [1, os.cpu_count()]."""
+    """--jobs, else $QCONG_JOBS, else 1; clamped to [1, usable CPUs]."""
     if jobs is None:
         raw = os.environ.get("QCONG_JOBS", "1")
         try:
@@ -429,7 +448,13 @@ def resolve_jobs(jobs):
             raise UsageError(
                 f"QCONG_JOBS must be an integer, got {raw!r}"
             ) from None
-    return max(1, min(jobs, os.cpu_count() or 1))
+    # an affinity mask (a container, taskset) may allow fewer CPUs than
+    # os.cpu_count() counts; not every platform has one
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return max(1, min(jobs, usable))
 
 
 def main(argv=None) -> int:

@@ -936,21 +936,40 @@ def _run_cell_star(args):
     return run_cell(*args)
 
 
-def verify(tag: str, grid=None, variant: str | None = None, jobs: int = 1):
+def verify(tag, grid=None, variant: str | None = None, jobs: int = 1):
     """Run a statement over a parameter grid; deterministic result order.
 
     grid is a list of parameter dicts (default: the statement's own grid);
-    variant defaults to the statement's canonical variant.
+    variant defaults to the statement's canonical variant. tag may instead
+    be a list of (tag, variant, grid) runs, each defaulted the same way
+    where variant or grid is None; grid and variant must then be None.
+
+    Returns one list of records sorted by (statement, variant, params).
+    With jobs > 1 every cell of every run goes through a single process
+    pool of at most min(jobs, cells) workers; otherwise the cells run in
+    order in this process.
     """
-    stmt = REGISTRY[tag]
-    if variant is None:
-        variant = stmt.canonical_variant
-    if grid is None:
-        grid = stmt.default_grid()
-    cells = [(tag, variant, params) for params in grid]
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_cell_star, cells, chunksize=4))
+    if isinstance(tag, str):
+        runs = [(tag, variant, grid)]
+    elif grid is not None or variant is not None:
+        raise ValueError("a list of runs carries its own variants and grids")
+    else:
+        runs = tag
+    cells = []
+    for run_tag, run_variant, run_grid in runs:
+        stmt = REGISTRY[run_tag]
+        if run_variant is None:
+            run_variant = stmt.canonical_variant
+        if run_grid is None:
+            run_grid = stmt.default_grid()
+        cells.extend((run_tag, run_variant, params) for params in run_grid)
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        # about 8 chunks per worker: chunks of one cost a round trip per
+        # cell, while a few large chunks leave workers idle at the end
+        chunksize = -(-len(cells) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(_run_cell_star, cells, chunksize=chunksize))
     else:
         records = [run_cell(*c) for c in cells]
     records.sort(key=lambda r: (r.statement, r.variant, r.params))

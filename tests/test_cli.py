@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qcong import statements
 from qcong.cli import (
     UsageError,
     build_grid,
@@ -154,16 +156,47 @@ def test_verify_csv_header(capsys):
     assert len(rows) == 3
 
 
-def test_verify_jobs_deterministic(capsys):
-    argv = ["verify", "--statement", "cong_t0a", "--p", "3,5",
-            "--format", "json"]
-    assert main(argv) == 0
+def _scrub(data):
+    """Remove every elapsed_ms, the one field that may differ between runs."""
+    if isinstance(data, list):
+        return [_scrub(x) for x in data]
+    if isinstance(data, dict):
+        return {k: _scrub(v) for k, v in data.items() if k != "elapsed_ms"}
+    return data
+
+
+def _one_pool_same_json(argv, pools, capsys):
+    assert main([*argv, "--jobs", "1"]) == 0
     one = json.loads(capsys.readouterr().out)
+    assert pools == []
     assert main([*argv, "--jobs", "2"]) == 0
     two = json.loads(capsys.readouterr().out)
-    scrub = lambda rs: [{k: v for k, v in r.items() if k != "elapsed_ms"}
-                        for r in rs]
-    assert scrub(one) == scrub(two)
+    assert pools == [2]  # one pool for every cell of the command
+    assert _scrub(one) == _scrub(two)
+
+
+def test_verify_jobs_deterministic(pools, capsys):
+    _one_pool_same_json(["verify", "--statement", "pan2,step_b6",
+                         "--format", "json"], pools, capsys)
+
+
+def test_report_jobs_deterministic(pools, capsys):
+    # both statements' as_printed rows fail; only canonical rows set the exit
+    _one_pool_same_json(["report", "--statement", "pan2,step_b6",
+                         "--format", "json"], pools, capsys)
+
+
+def test_usage_errors_come_before_any_cell(monkeypatch, capsys):
+    def no_cells(*args):
+        raise AssertionError("a cell ran before the usage error")
+
+    monkeypatch.setattr(statements, "run_cell", no_cells)
+    assert main(["verify", "--statement", "guozeng_01,guguo,t1",
+                 "--n", "40", "--jobs", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no parameter cell satisfies the hypotheses of t1;"
+        " check the ranges\n"
+    )
 
 
 def test_verify_output_file(tmp_path, capsys):
@@ -267,6 +300,15 @@ def test_jobs_clamped_below_to_one(monkeypatch, capsys):
                  "--jobs", "-3"]) == 0
 
 
+def test_jobs_clamped_to_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert resolve_jobs(8) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert resolve_jobs(8) == 3
+
+
 # sha256 of `qcong report --all --format json` with elapsed_ms removed,
 # re-dumped with indent=2 plus the newline the CLI ends its output with:
 # every verdict, margin and note of all 30 statements in both variants
@@ -275,8 +317,10 @@ REPORT_ALL_SHA256 = (
 )
 
 
-def test_report_all_json_is_unchanged(capsys):
-    assert main(["report", "--all", "--format", "json", "--jobs", "1"]) == 0
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_report_all_json_is_unchanged(jobs, pools, capsys):
+    assert main(["report", "--all", "--format", "json", "--jobs", jobs]) == 0
+    assert len(pools) == int(jobs) - 1
     data = json.loads(capsys.readouterr().out)
     for entry in data:
         for info in entry["variants"].values():

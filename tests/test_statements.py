@@ -226,6 +226,28 @@ def test_verify_deterministic_and_parallel_agree():
     assert [r.params for r in seq] == sorted(r.params for r in seq)
 
 
+def test_verify_runs_share_one_pool(pools):
+    runs = [("pan2", "as_printed", None),
+            ("step_a9_0", None, [{"t": 1, "n": 3}]),
+            ("pan2", None, None)]
+    single = [verify(tag, grid=grid, variant=variant)
+              for tag, variant, grid in runs]
+    assert pools == []
+    together = verify(runs, jobs=2)
+    assert pools == [2]
+    key = lambda r: (r.statement, r.variant, r.params)
+    strip = lambda rs: [(r.statement, r.variant, r.params, r.verdict) for r in rs]
+    assert strip(together) == strip(sorted(sum(single, []), key=key))
+    verify(runs[1:2], jobs=2)  # one cell: no pool, whatever jobs says
+    assert pools == [2]
+    verify("step_a9_0", grid=[{"t": 1, "n": 3}, {"t": 2, "n": 3}], jobs=3)
+    assert pools == [2, 2]  # never more workers than cells
+    with pytest.raises(ValueError):
+        verify(runs, grid=[{"t": 1, "n": 3}])
+    with pytest.raises(ValueError):
+        verify(runs, variant="as_printed")
+
+
 def test_verdict_record_json_round_trip():
     records = verify("pan2", variant="as_printed")
     payload = json.dumps([r.to_dict() for r in records])

@@ -1,8 +1,11 @@
 """Cyclotomic polynomials over Z and moduli built from their powers.
 
 cyclotomic(n) is computed by exact division of q^n - 1 by the lower-order
-factors, which stays in Z[q] throughout. CycloModulus describes a product
-of prime-power style factors Phi_d(q)^e used as a congruence modulus.
+factors, which stays in Z[q] throughout. phi_valuation counts the
+divisions of a packed integer by Phi_d's value at the packing point and
+accepts the count only with a size certificate. CycloModulus describes a
+product of prime-power style factors Phi_d(q)^e used as a congruence
+modulus.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import Poly, ONE
+from .exact import ONE, Poly, _kronecker_valuation
 
 
 def divisors(n: int) -> list[int]:
@@ -99,10 +102,20 @@ def cyclotomic_by_mobius(n: int) -> Poly:
 
 
 def phi_valuation(p: Poly, d: int):
-    """Multiplicity of cyclotomic(d) in p; math.inf for the zero polynomial."""
+    """Multiplicity of cyclotomic(d) in p; math.inf for the zero polynomial.
+
+    p and Phi_d are packed into integers at one power of two, and p's
+    integer is divided by Phi_d's while the remainder is 0
+    (exact._kronecker_valuation). The count is accepted only when the
+    quotient's size proves that it is the multiplicity; otherwise exact
+    polynomial division by Phi_d, repeated, decides.
+    """
     if not p:
         return math.inf
     phi = cyclotomic(d)
+    v = _kronecker_valuation(p.coeffs, phi.coeffs)
+    if v is not None:
+        return v
     v = 0
     while True:
         nxt = p.try_exact_div(phi)

@@ -21,7 +21,13 @@ every fast result carries a certificate:
 - gcd_rational runs the heuristic gcd GCDHEU of Char, Geddes and Gonnet:
   an integer gcd of values at a large point xi, rebuilt from symmetric
   base-xi digits and accepted only when it divides both inputs. Otherwise
-  the primitive pseudo-remainder sequence decides.
+  the primitive pseudo-remainder sequence decides. Long polynomials are
+  evaluated at an integer by pairing neighbouring coefficients and
+  squaring the point, not by Horner's rule.
+- The multiplicity of a divisor (_kronecker_valuation, for the Phi_d
+  valuations) is the number of times its packed value divides the
+  dividend's; it is accepted only when the quotient is small enough that
+  the digit strings prove it, else repeated exact division decides.
 
 Short operands keep the schoolbook loops, which are faster there. One
 Z-division loop, _divmod_z, serves exact division, the PRS
@@ -38,6 +44,9 @@ from fractions import Fraction
 # see the measurement recorded in CHANGES.md.
 _KRONECKER_MUL_MIN_LEN = 4
 _KRONECKER_DIV_MIN_LEN = 4
+# Length from which Poly.__call__ at an integer |x| >= 2 splits pairwise
+# instead of running Horner; see the measurement recorded in CHANGES.md.
+_SPLIT_EVAL_MIN_LEN = 128
 # Widths (division) and evaluation points (gcd) tried before long division
 # or the PRS decides.
 _KRONECKER_DIV_TRIES = 4
@@ -165,6 +174,40 @@ def _kronecker_div(a, b):
             return q
         bits *= 2
     return False
+
+
+def _kronecker_valuation(a, b):
+    """Certified multiplicity of b in the nonzero a by Kronecker substitution.
+
+    a and b are packed at B = 2^k, and a(B) is divided by b(B) while the
+    remainder is 0; v counts the exact divisions. Returns v, or None when
+    no width tried gave a certified answer.
+    """
+    bits = max(_max_bits(a), _max_bits(b)) + len(a).bit_length()
+    norm_bits = sum(map(abs, b)).bit_length()  # bits(|b|_1)
+    for _ in range(_KRONECKER_DIV_TRIES):
+        w = _width(bits)
+        x, y = _pack(a, w), _pack(b, w)
+        v = 0
+        while True:
+            qv, r = divmod(x, y)
+            if r:
+                break
+            x = qv
+            v += 1
+        if not v:
+            # b | a in Z[q] forces b(B) | a(B) in Z
+            return 0
+        # Q(B) = a(B) / b(B)^v. When 2^(k-1) bounds |Q|_inf |b|_1^v, hence
+        # every coefficient of b^v Q, then b^v Q and a are the balanced
+        # digits of one integer, so b^v divides a; and b(B)^(v+1) does not
+        # divide a(B), so b^(v+1) does not divide a.
+        n = len(a) - v * (len(b) - 1)
+        q = _unpack(x, n, w) if n > 0 else None
+        if q is not None and _max_bits(q) + v * norm_bits < 8 * w - 1:
+            return v
+        bits *= 2
+    return None
 
 
 def _divmod_z(a, b):
@@ -392,9 +435,22 @@ class Poly:
         return _mk(out)
 
     def __call__(self, x):
+        c = self._c
+        if type(x) is int and len(c) >= _SPLIT_EVAL_MIN_LEN and abs(x) > 1:
+            # Horner's multiply-adds grow the accumulator one digit at a
+            # time, which is quadratic; pairing neighbours, c_i + c_(i+1) x,
+            # then squaring x halves the length with balanced products.
+            vals = list(c)
+            while len(vals) > 1:
+                if len(vals) % 2:
+                    vals.append(0)
+                vals = [a + b * x for a, b in zip(vals[::2], vals[1::2])]
+                if len(vals) > 1:
+                    x *= x
+            return vals[0]
         acc = 0
-        for c in reversed(self._c):
-            acc = acc * x + c
+        for a in reversed(c):
+            acc = acc * x + a
         return acc
 
     def __str__(self):

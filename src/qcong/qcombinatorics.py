@@ -1,17 +1,18 @@
 """Constructors for the standard q-objects: q-integers, Pochhammer products
 of the form prod (1 - q^(m*j)), Gaussian binomials, the sums of the
-theorem terms f_k, the q-analogue of the Fermat quotient, and three
-flavors of q-harmonic sums.
+theorem terms f_k, the Apery-type sums of guguo and gsz_03, the
+q-analogue of the Fermat quotient, and three flavors of q-harmonic sums.
 
-All results are exact. Gaussian binomials and the f_k sums come from
-ratio recurrences on coefficients packed into one integer, where every
-division by 1 - q^j goes through one checked loop (_div_one_minus_qpow),
-so no large polynomial division or product is needed; the Fermat
-quotient's Pochhammer ratio is a product of shift-adds. Every sum of
-c/(1 - q^m), the q-harmonic sums among them, goes through frac_sum: the
-terms are added over their known common denominator, a product of
-cyclotomic polynomials, and the sum is reduced once. The heavily reused constructors are memoized since
-statement verification calls them across overlapping parameter grids.
+All results are exact. Gaussian binomials, the f_k sums and the
+Apery-type sums come from ratio recurrences on coefficients packed into
+one integer, where every division by 1 - q^j goes through one checked
+loop (_div_one_minus_qpow), so no large polynomial division or product
+is needed; the Fermat quotient's Pochhammer ratio is a product of
+shift-adds. Every sum of c/(1 - q^m), the q-harmonic sums among them,
+goes through frac_sum: the terms are added over their known common
+denominator, a product of cyclotomic polynomials, and the sum is reduced
+once. The heavily reused constructors are memoized since statement
+verification calls them across overlapping parameter grids.
 """
 
 from __future__ import annotations
@@ -172,6 +173,66 @@ def fk_sums(n: int, alpha: int) -> tuple[Poly, Poly, Poly]:
                 f"f_k sums at n={n}, alpha={alpha} overflowed {w}-byte slots")
         sums.append(_mk(coeffs))
     return tuple(sums)
+
+
+def apery_sum(n: int, r: int) -> Poly:
+    """sum_(k<n) q^(r(n-k)^2 + (r-1)k) ([n+k, k] [n-1, k])^(2r).
+
+    The Apéry-type left side of guguo (r = 1) and gsz_03. The square
+    s_k = ([n+k, k] [n-1, k])^2 is stepped on one integer packed at
+    B = 2^W, from s_0 = 1, by
+    s_(k+1) = s_k ((1 - q^(n+k+1)) (1 - q^(n-1-k)))^2 / (1 - q^(k+1))^4,
+    one factor at a time: each multiply is a shift and a subtraction,
+    each divide a checked stride division. s_k^r is an integer power, added
+    at its q-power.
+
+    >>> apery_sum(2, 1)
+    Poly([0, 1, 2, 3, 3, 1])
+    """
+    if n < 1 or r < 1:
+        raise ValueError("apery_sum needs n >= 1 and r >= 1")
+    vals = [math.comb(n + k, k) * math.comb(n - 1, k) for k in range(n)]
+    total = sum(v ** (2 * r) for v in vals)
+    # Width: every polynomial read below is a product of Gaussian
+    # binomials, so its coefficients are >= 0 and bounded by its value at
+    # q = 1. These are the powers s_k^j, j <= r, and the sum (at most
+    # total), and the quotients of the four divisions from s_k to
+    # s_(k+1), at most [n+k+1, k+1]^2 max([n-1, k], [n-1, k+1])^2 at
+    # q = 1, since [n+k, k] <= [n+k+1, k+1] there. W - 1 >= bits(peak) + 1
+    # keeps every one of them below 2^(W-1) - 1, as _div_one_minus_qpow
+    # needs.
+    peak = max([total] + [
+        math.comb(n + k + 1, k + 1) ** 2
+        * max(math.comb(n - 1, k), math.comb(n - 1, k + 1)) ** 2
+        for k in range(n - 1)])
+    w = _width(peak.bit_length() + 1)
+    bits = 8 * w
+
+    def deg(k):  # of [n+k, k] [n-1, k]
+        return k * n + k * (n - 1 - k)
+
+    x = 1  # s_k(B)
+    acc = 0
+    top = 0  # the largest degree of a term
+    for k in range(n):
+        lift = r * (n - k) ** 2 + (r - 1) * k
+        top = max(top, lift + 2 * r * deg(k))
+        acc += x ** r << (lift * bits)
+        if k == n - 1:
+            break
+        # [n+k, k] -> [n+k+1, k+1] twice, then [n-1, k] -> [n-1, k+1] twice
+        size = 2 * deg(k) + 1
+        for m in (n + k + 1, n + k + 1, n - 1 - k, n - 1 - k):
+            x -= x << (m * bits)
+            size += m - (k + 1)
+            x = _div_one_minus_qpow(x, k + 1, size, bits)
+    # as in q_binomial: digits >= 0 that sum to the value at q = 1 are
+    # the coefficients themselves, since a carry would lower the sum
+    coeffs = _unpack(acc, top + 1, w)
+    if coeffs is None or min(coeffs) < 0 or sum(coeffs) != total:
+        raise ArithmeticError(
+            f"apery sum at n={n}, r={r} overflowed its {w}-byte slots")
+    return _mk(coeffs)
 
 
 @lru_cache(maxsize=None)

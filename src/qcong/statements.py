@@ -16,8 +16,10 @@ No closed forms are used anywhere, so verification exercises the same
 objects the statements manipulate. The sums of the theorem terms
 f_k = q^C(k+1,2) [alpha+k-1, k] [alpha+n-1, n-1-k] come from fk_sums,
 which steps from one term to the next by their exact ratio on a packed
-integer; sums of c/(1 - q^m) add their terms over the known common
-denominator, a product of cyclotomic polynomials (frac_sum).
+integer; the Apery-type left sides of guguo and gsz_03 come from
+apery_sum, stepped the same way; sums of c/(1 - q^m) add their terms over
+the known common denominator, a product of cyclotomic polynomials
+(frac_sum).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .cyclotomic import CycloModulus, factor_q_integer, is_prime
 from .euler import euler_polynomial_value
 from .exact import ONE, Poly, QExpr
 from .qcombinatorics import (
+    apery_sum,
     fk_sums,
     frac_sum,
     q_binomial,
@@ -264,27 +267,20 @@ def _build_guozeng(p, variant):
 
 def _build_guguo(p, variant):
     n = p["n"]
-    lhs = Poly()
-    for k in range(n):
-        term = (q_binomial(n + k, k) * q_binomial(n - 1, k)) ** 2
-        lhs = lhs + term.shifted((n - k) ** 2)
     rhs = QExpr(q_integer(n).shifted(1))
-    return QCongruence(QExpr(lhs), rhs, _phi(n, 2))
+    return QCongruence(QExpr(apery_sum(n, 1)), rhs, _phi(n, 2))
 
 
 def _build_gsz(p, variant):
     n, r = p["n"], p["r"]
-    lhs = Poly()
-    for k in range(n):
-        term = (q_binomial(n + k, k) * q_binomial(n - 1, k)) ** (2 * r)
-        lhs = lhs + term.shifted(r * (n - k) ** 2 + (r - 1) * k)
     qn = q_integer(n)
     rhs = (
         QExpr(qn.shifted((r - 1) * n + 1))
         - Fraction(r * (2 * r - 1) * (n - 1) ** 2, 4)
         * QExpr(Poly([1, -1]) ** 2 * qn ** 3).shifted(1)
     )
-    return QCongruence(QExpr(lhs), rhs, factor_q_integer(n).raised_at(n, 3))
+    return QCongruence(QExpr(apery_sum(n, r)), rhs,
+                       factor_q_integer(n).raised_at(n, 3))
 
 
 def _build_lemma_a1(p, variant):

@@ -6,12 +6,16 @@ pseudo-remainder sequence, on seeded random operands on both sides of each
 crossover length; pseudo-division is checked against its defining
 identity. Gaussian binomials from the packed ratio recurrence are checked
 against the Pochhammer quotient and, for large rows, against their values
-at q = 1, 2, -2 and 3. A last block cross-checks products, gcds and
-cyclotomic remainders against sympy when it is installed.
+at q = 1, 2, -2 and 3. Phi_d valuations from repeated division of one
+packed integer are checked against repeated polynomial division, and
+pairwise-split evaluation against Horner's rule. A last block
+cross-checks products, gcds and cyclotomic remainders against sympy when
+it is installed.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -264,6 +268,74 @@ def test_q_binomial_large_rows_against_their_values(n, k):
             num *= x ** (n - i) - 1
             den *= x ** (i + 1) - 1
         assert num % den == 0 and g(x) == num // den, x
+
+
+def _valuation_by_division(p, d):
+    # the loop reference: divide by Phi_d while it divides exactly
+    phi, v = cyclotomic(d), 0
+    while (p := p.try_exact_div(phi)) is not None:
+        v += 1
+    return v
+
+
+def test_phi_valuation_matches_division_loop():
+    # c Phi_d^e R with small or 200-bit coefficients, c of either sign,
+    # and R coprime to Phi_d or carrying more of it
+    rng = random.Random(SEED + 7)
+    for _ in range(300):
+        d, e = rng.randint(1, 40), rng.randint(0, 5)
+        c = rng.choice([1, -1, 6, -(1 << 200) - 1])
+        r = rand_poly(rng, rng.randint(1, 30), rng.choice([4, 200]))
+        if rng.random() < 0.3:
+            r = r * cyclotomic(d) ** rng.randint(1, 2)
+        p = c * cyclotomic(d) ** e * r
+        got = phi_valuation(p, d)
+        assert got == _valuation_by_division(p, d) and got >= e, (d, e)
+
+
+def test_phi_valuation_ignores_accidental_integer_divisibility(monkeypatch):
+    # in one-byte slots, 255 = Phi_1(256) divides p(256) = 98175 though
+    # p(1) = 255 is not 0, so the packed count 1 is not a multiplicity
+    p = Poly([127, 127, 1])
+    assert p(256) % 255 == 0 and p(1) != 0
+    monkeypatch.setattr(ex, "_width", lambda bits: 1)
+    assert ex._kronecker_valuation(p.coeffs, cyclotomic(1).coeffs) is None
+    assert phi_valuation(p, 1) == 0
+
+
+def test_phi_valuation_falls_back_to_polynomial_division(monkeypatch):
+    # (q - 1)^3 (q + 2) has valuation 3 at Phi_1, but one-byte slots cannot
+    # certify it: |Q|_inf |Phi_1|_1^3 needs 2 + 3 * 2 bits, not 7
+    p = cyclotomic(1) ** 3 * Poly([2, 1])
+    calls = []
+    divide = Poly.try_exact_div
+    monkeypatch.setattr(ex, "_width", lambda bits: 1)
+    monkeypatch.setattr(Poly, "try_exact_div",
+                        lambda a, b: calls.append(b) or divide(a, b))
+    assert phi_valuation(p, 1) == 3
+    assert len(calls) == 4
+
+
+def _horner(p, x):
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_evaluation_matches_horner():
+    # lengths 0-400 on both sides of the split's crossover, at the points
+    # GCDHEU uses (±xi), the small integers and a fraction
+    rng = random.Random(SEED + 8)
+    m = ex._SPLIT_EVAL_MIN_LEN
+    lengths = {0, 1, 2, 3, m - 1, m, m + 1, 255, 256, 257, 400}
+    lengths |= {rng.randint(0, 400) for _ in range(10)}
+    for length in sorted(lengths):
+        for bits in (3, 100):
+            p = rand_poly(rng, length, bits)
+            xi = 2 * max(map(abs, p.coeffs), default=0) + 29
+            for x in (0, 1, -1, 2, -2, xi, -xi, Fraction(-3, 7)):
+                assert p(x) == _horner(p, x), (length, bits, x)
 
 
 def test_against_sympy():

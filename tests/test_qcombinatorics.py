@@ -9,6 +9,7 @@ from qcong.cyclotomic import cyclotomic, phi_valuation
 from qcong import qcombinatorics
 from qcong.qcombinatorics import (
     _div_one_minus_qpow,
+    apery_sum,
     fk_sums,
     q_binomial,
     q_fermat_quotient,
@@ -123,6 +124,69 @@ def test_fk_sums_check_their_digits(monkeypatch):
                             lambda v, n, w: fault(unpack(v, n, w)))
         with pytest.raises(ArithmeticError):
             fk_sums(5, 4)
+
+
+def _apery_sum_reference(n, r):
+    # every term a product of two q-binomials raised to 2r, added one by one
+    out = ZERO
+    for k in range(n):
+        term = (q_binomial(n + k, k) * q_binomial(n - 1, k)) ** (2 * r)
+        out = out + term.shifted(r * (n - k) ** 2 + (r - 1) * k)
+    return out
+
+
+def test_apery_sum_matches_term_by_term_reference():
+    # every guguo cell (r = 1), every gsz_03 cell, and two larger ones
+    cells = ([(n, 1) for n in range(1, 21)]
+             + [(n, r) for n in range(1, 13) for r in (1, 2, 3)])
+    for n, r in cells + [(30, 1), (20, 3)]:
+        assert apery_sum(n, r) == _apery_sum_reference(n, r), (n, r)
+    assert apery_sum(4, 2)(1) == sum(
+        (math.comb(4 + k, k) * math.comb(3, k)) ** 4 for k in range(4))
+    with pytest.raises(ValueError):
+        apery_sum(0, 1)
+    with pytest.raises(ValueError):
+        apery_sum(3, 0)
+
+
+def test_apery_sum_rejects_slots_too_narrow(monkeypatch):
+    # one-byte slots: the coefficients at (3, 1) stay below 127, but
+    # (4, 1) has a coefficient of 387 and wraps
+    small, big = _apery_sum_reference(3, 1), _apery_sum_reference(4, 1)
+    assert max(small.coeffs) < 127 < max(big.coeffs)
+    monkeypatch.setattr(qcombinatorics, "_width", lambda bits: 1)
+    assert apery_sum(3, 1) == small
+    with pytest.raises(ArithmeticError):
+        apery_sum(4, 1)
+
+
+def test_apery_sum_slots_hold_the_mid_step(monkeypatch):
+    # at (3, 1) the mid-step [4, 1] [5, 2] [2, 1]^2 is 400 at q = 1, above
+    # the sum's 165, and the slots must hold it with a bit to spare
+    asked = []
+    width = qcombinatorics._width
+    monkeypatch.setattr(qcombinatorics, "_width",
+                        lambda bits: asked.append(bits) or width(bits))
+    assert apery_sum(3, 1)(1) == 165
+    assert asked[-1] >= (400).bit_length() + 1
+
+
+def test_apery_sum_checks_its_digits(monkeypatch):
+    # a faulty read of the packed sum: one digit made negative with the
+    # digit sum kept, or every digit kept >= 0 with the sum off by one
+    def negative(d):
+        return (d[0] + d[1] + 1, -1) + d[2:]
+
+    def off_by_one(d):
+        return (d[0] + 1,) + d[1:]
+
+    unpack = qcombinatorics._unpack
+    assert apery_sum(5, 2) == _apery_sum_reference(5, 2)
+    for fault in (negative, off_by_one):
+        monkeypatch.setattr(qcombinatorics, "_unpack",
+                            lambda v, n, w: fault(unpack(v, n, w)))
+        with pytest.raises(ArithmeticError):
+            apery_sum(5, 2)
 
 
 def test_packed_division_is_checked_exactly():

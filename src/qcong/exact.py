@@ -106,10 +106,16 @@ def _offset(n: int, w: int) -> int:
 
 
 def _pack(c, w: int) -> int:
-    """c evaluated at 2^(8w); every |c_i| must be below 2^(8w-1)."""
+    """c evaluated at 2^(8w); every |c_i| must be below 2^(8w-1).
+
+    A wider c_i raises OverflowError, an ArithmeticError, at any w.
+    """
     code = _STRUCT_CODE.get(w)
     if code:
-        raw = struct.pack(f"<{len(c)}{code}", *c)
+        try:
+            raw = struct.pack(f"<{len(c)}{code}", *c)
+        except struct.error:  # int.to_bytes below raises OverflowError
+            raise OverflowError(f"a coefficient overflows {w}-byte slots") from None
     else:
         raw = b"".join([x.to_bytes(w, "little", signed=True) for x in c])
     # flipping each slot's top bit turns two's complement into d + 2^(8w-1)

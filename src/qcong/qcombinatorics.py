@@ -3,16 +3,17 @@ of the form prod (1 - q^(m*j)), Gaussian binomials, the sums of the
 theorem terms f_k, the Apery-type sums of guguo and gsz_03, the
 q-analogue of the Fermat quotient, and three flavors of q-harmonic sums.
 
-All results are exact. Gaussian binomials, the f_k sums and the
-Apery-type sums come from ratio recurrences on coefficients packed into
-one integer, where every division by 1 - q^j goes through one checked
-loop (_div_one_minus_qpow), so no large polynomial division or product
-is needed; the Fermat quotient's Pochhammer ratio is a product of
-shift-adds. Every sum of c/(1 - q^m), the q-harmonic sums among them,
-goes through frac_sum: the terms are added over their known common
-denominator, a product of cyclotomic polynomials, and the sum is reduced
-once. The heavily reused constructors are memoized since statement
-verification calls them across overlapping parameter grids.
+All results are exact. Gaussian binomials, the f_k sums, the Apery-type
+sums and every sum of c/(1 - q^m) are formed on one integer that packs
+the coefficients at B = 2^W: multiplying by 1 - q^m is a shift and a
+subtraction, and every division by 1 - q^j goes through one checked
+stride loop (_div_one_minus_qpow), so no large polynomial product,
+division or add is formed per term. frac_sum, which the q-harmonic sums
+go through, adds its terms over their known common denominator, a
+product of cyclotomic polynomials, and reduces the sum once. The Fermat
+quotient's Pochhammer ratio is a product of shift-adds. The heavily
+reused constructors are memoized since statement verification calls
+them across overlapping parameter grids.
 """
 
 from __future__ import annotations
@@ -256,20 +257,59 @@ def frac_sum(terms) -> QExpr:
     """sum c / (1 - q^m) over the pairs (c, m), c a Poly or int, m >= 1.
 
     1 - q^m = -prod_{d | m} Phi_d, so L = prod Phi_d over every d dividing
-    some m is a common denominator: each term is c * L / (1 - q^m) over L,
-    by one exact division, and the sum is canonicalized once.
+    some m is a common denominator, and each term is c Q_m / L with
+    Q_m = L / (1 - q^m). L is packed once at B = 2^W, each distinct m
+    takes one checked stride division for Q_m(B), every term adds its
+    packed c times Q_m(B) to one integer, and the numerator's digits are
+    read once. The sum is canonicalized once.
 
     >>> frac_sum([(1, 1), (Poly([1, 1]), 2)]) == QExpr(2, Poly([1, -1]))
     True
     """
     terms = list(terms)
+    ds = sorted({d for _, m in terms for d in divisors(m)})
     den = ONE
-    for d in sorted({d for _, m in terms for d in divisors(m)}):
+    for d in ds:
         den = den * cyclotomic(d)
-    num = ZERO
+    by_m = {}  # m -> the coefficient tuples of its nonzero c
     for c, m in terms:
-        num = num + c * den.exact_div(ONE - Poly.monomial(m))
-    return QExpr(num, den)
+        if not isinstance(c, Poly):
+            c = Poly((c,))
+        if c:
+            by_m.setdefault(m, []).append(c.coeffs)
+    if not by_m:
+        return QExpr(0)
+    den_c = den.coeffs
+    # Width: L = (1 - q^m) Q_m makes each coefficient of Q_m a stride
+    # partial sum of L's, so |Q_m|_inf <= |L|_1 and |c Q_m|_inf <=
+    # |c|_1 |L|_1. Every Q_m read below, every packed c, L itself and the
+    # numerator are thus at most bound = |L|_1 sum_t |c_t|_1, and
+    # W - 1 >= bits(bound) + 1 keeps them below 2^(W-1) - 1, as
+    # _div_one_minus_qpow needs.
+    bound = sum(map(abs, den_c)) * sum(
+        sum(map(abs, c)) for group in by_m.values() for c in group)
+    w = _width(bound.bit_length() + 1)
+    bits = 8 * w
+    x = _pack(den_c, w)
+    acc = 0
+    size = 1  # digits of the numerator
+    for m, group in by_m.items():
+        acc += sum(_pack(c, w) for c in group) * _div_one_minus_qpow(
+            x, m, len(den_c) - m, bits)
+        size = max(size, len(den_c) - m - 1 + max(map(len, group)))
+    # A second line of defence, not a certificate: the digits are signed,
+    # so carries between slots can cancel in the digit sum (one-byte slots
+    # returned wrong sums that passed it); the width above is what makes
+    # the digits right. The numerator at q = 1 is sum_t c_t(1) Q_(m_t)(1),
+    # and Q_m(1) = -prod Phi_d(1) over the d that do not divide m, which
+    # is -P / m for P = prod_(d > 1) Phi_d(1), since
+    # prod_(d | m, d > 1) Phi_d(1) = [m](1) = m.
+    p1 = math.prod(sum(cyclotomic(d).coeffs) for d in ds if d > 1)
+    want = -sum(sum(c) * (p1 // m) for m, group in by_m.items() for c in group)
+    coeffs = _unpack(acc, size, w)
+    if coeffs is None or sum(coeffs) != want:
+        raise ArithmeticError(f"sum of c/(1 - q^m) overflowed {w}-byte slots")
+    return QExpr(_mk(coeffs), den)
 
 
 def q_harmonic(kind: str, bound: int) -> QExpr:

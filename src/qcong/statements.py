@@ -17,9 +17,9 @@ objects the statements manipulate. The sums of the theorem terms
 f_k = q^C(k+1,2) [alpha+k-1, k] [alpha+n-1, n-1-k] come from fk_sums,
 which steps from one term to the next by their exact ratio on a packed
 integer; the Apery-type left sides of guguo and gsz_03 come from
-apery_sum, stepped the same way; sums of c/(1 - q^m) add their terms over
-the known common denominator, a product of cyclotomic polynomials
-(frac_sum).
+apery_sum, stepped the same way; sums of c/(1 - q^m) add their terms on
+one packed integer over the known common denominator, a product of
+cyclotomic polynomials (frac_sum).
 """
 
 from __future__ import annotations
@@ -299,13 +299,10 @@ def _build_lemma_a2(p, variant):
 def _build_a3(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = _alt_frac_sum(n - 1, a, q_weight=False)
-    rhs = (
-        -2 * _alt_frac_sum(a, 0, q_weight=False)
-        - 2 * _fermat_over_1mq(n)
-        - QExpr(1, _one_minus_qpow(n))
-        - Fraction(n - 1, 2)
-        + QExpr(1, _one_minus_qpow(a))
-    )
+    # -2 sum_(k<=alpha) (-1)^k/(1 - q^k) - 1/(1 - q^n) + 1/(1 - q^alpha)
+    recips = frac_sum([(-2 * (-1) ** k, k) for k in range(1, a + 1)]
+                      + [(-1, n), (1, a)])
+    rhs = recips - 2 * _fermat_over_1mq(n) - Fraction(n - 1, 2)
     return QCongruence(lhs, rhs, _phi(n))
 
 
@@ -432,14 +429,18 @@ def _build_b3(p, variant):
 def _build_b4(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = _alt_frac_sum(n - 1, a, q_weight=True)
+    # -2 sum_(k<=alpha) (-q)^k/[k] - q^n/[n] + q^alpha/[alpha], each
+    # q^k/[k] as (1 - q) q^k/(1 - q^k)
+    one_minus_q = Poly([1, -1])
+    recips = frac_sum(
+        [(-2 * (-1) ** k * one_minus_q.shifted(k), k) for k in range(1, a + 1)]
+        + [(-one_minus_q.shifted(n), n), (one_minus_q.shifted(a), a)])
     inner = (
-        Fraction(1 - n, 2) * QExpr(Poly([1, -1]))
+        Fraction(1 - n, 2) * QExpr(one_minus_q)
         - 2 * q_fermat_quotient(2, n)
-        - 2 * q_harmonic("alternating_q", a)
-        - QExpr(1, q_integer(n)).shifted(n)
-        + QExpr(1, q_integer(a)).shifted(a)
+        + recips
     )
-    rhs = inner.shifted(-a) / QExpr(Poly([1, -1]))
+    rhs = inner.shifted(-a) / QExpr(one_minus_q)
     return QCongruence(lhs, rhs, _phi(n))
 
 

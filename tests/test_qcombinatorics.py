@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from qcong.exact import ONE, Poly, QExpr, ZERO
-from qcong.cyclotomic import cyclotomic, phi_valuation
+from qcong.cyclotomic import cyclotomic, divisors, phi_valuation
 from qcong import qcombinatorics
 from qcong.qcombinatorics import (
     _div_one_minus_qpow,
     apery_sum,
     fk_sums,
+    frac_sum,
     q_binomial,
     q_fermat_quotient,
     q_harmonic,
@@ -263,3 +264,117 @@ def test_q_harmonic_q1_shadow():
     assert h == Fraction(-1) + Fraction(1, 2) - Fraction(1, 3) + Fraction(1, 4) - Fraction(1, 5)
     he = q_harmonic("plain_even", 3).eval_at_one()
     assert he == Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 6)
+
+
+def _frac_sum_reference(terms):
+    # one QExpr per term, added one by one
+    out = QExpr(0)
+    for c, m in terms:
+        out = out + QExpr(c, ONE - Poly.monomial(m))
+    return out
+
+
+def _random_terms(rng, count):
+    # ints, zeros and Polys with q-powers, some coefficients 60 bits wide
+    # and negative; with m <= 12 most lists repeat an m
+    def coeff():
+        return rng.choice((rng.randint(-3, 3), rng.randint(-2**60, 2**60)))
+
+    terms = []
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0:
+            c = coeff()
+        elif kind == 1:
+            c = rng.choice((0, ZERO))
+        else:
+            c = Poly([coeff() for _ in range(rng.randint(1, 5))])
+            c = c.shifted(rng.randint(0, 6))
+        terms.append((c, rng.randint(1, 12)))
+    return terms
+
+
+def _common_denominator(terms):
+    den = ONE
+    for d in sorted({d for _, m in terms for d in divisors(m)}):
+        den = den * cyclotomic(d)
+    return den
+
+
+def test_frac_sum_matches_term_by_term_reference():
+    rng = random.Random(10)
+    lists = [[], [(0, 5)], [(7, 3), (-7, 3)], [(Poly.monomial(4, -2), 1)]]
+    lists += [_random_terms(rng, rng.randint(1, 15)) for _ in range(60)]
+    assert any(len({m for _, m in t}) < len(t) for t in lists)
+    for terms in lists:
+        assert frac_sum(terms) == _frac_sum_reference(terms), terms
+    assert frac_sum([]) == frac_sum(iter([])) == 0
+    with pytest.raises(ValueError):
+        frac_sum([(1, 0)])
+
+
+def test_frac_sum_forms_no_poly_operation_per_term(monkeypatch):
+    # left before the one canonicalization: only the product forming the
+    # common denominator multiplies Polys; nothing adds or divides them
+    terms = _random_terms(random.Random(11), 40)
+    want = frac_sum(terms)  # and every cyclotomic(d) it needs is cached
+    calls = {"__mul__": 0, "__add__": 0, "exact_div": 0}
+    for name in calls:
+        method = getattr(Poly, name)
+
+        def counted(self, other, name=name, method=method):
+            calls[name] += 1
+            return method(self, other)
+        monkeypatch.setattr(Poly, name, counted)
+    monkeypatch.setattr(qcombinatorics, "QExpr", lambda num, den=1: (num, den))
+    ds = {d for _, m in terms for d in divisors(m)}
+    num, den = frac_sum(terms)
+    assert calls == {"__mul__": len(ds), "__add__": 0, "exact_div": 0}
+    monkeypatch.undo()
+    assert QExpr(num, den) == want == _frac_sum_reference(terms)
+
+
+def test_frac_sum_slots_hold_the_numerator_and_every_quotient(monkeypatch):
+    asked = []
+    width = qcombinatorics._width
+    monkeypatch.setattr(qcombinatorics, "_width",
+                        lambda bits: asked.append(bits) or width(bits))
+    one_minus_q = Poly([1, -1])
+    cases = [[(one_minus_q, 2 * k) for k in range(1, 13)],
+             [((-1) ** k * one_minus_q.shifted(k), k) for k in range(1, 31)],
+             _random_terms(random.Random(12), 12)]
+    for terms in cases:
+        frac_sum(terms)
+        den = _common_denominator(terms)
+        quotients = {m: den.exact_div(ONE - Poly.monomial(m))
+                     for _, m in terms}
+        num = sum((c * quotients[m] for c, m in terms), ZERO)
+        peak = max(max(map(abs, p.coeffs))
+                   for p in [num, den, *quotients.values()])
+        assert peak.bit_length() < asked[-1]
+
+
+def test_frac_sum_rejects_slots_too_narrow(monkeypatch):
+    # one-byte slots: the common denominator of plain_even 6 has
+    # coefficients of at most 2, that of plain_even 12 one of 143 > 127
+    want = q_harmonic("plain_even", 6)
+    terms = [(1, 2 * k) for k in range(1, 13)]
+    assert max(_common_denominator(terms).coeffs) == 143
+    monkeypatch.setattr(qcombinatorics, "_width", lambda bits: 1)
+    assert q_harmonic("plain_even", 6) == want
+    with pytest.raises(ArithmeticError):
+        q_harmonic("plain_even", 12)
+
+
+def test_frac_sum_checks_its_digit_sum(monkeypatch):
+    # a faulty read of the packed numerator, its digit sum off by one
+    def off_by_one(d):
+        return (d[0] + 1,) + d[1:]
+
+    unpack = qcombinatorics._unpack
+    assert q_harmonic("alternating", 10) == _frac_sum_reference(
+        [((-1) ** k * Poly([1, -1]), k) for k in range(1, 11)])
+    monkeypatch.setattr(qcombinatorics, "_unpack",
+                        lambda v, n, w: off_by_one(unpack(v, n, w)))
+    with pytest.raises(ArithmeticError):
+        q_harmonic("alternating", 10)

@@ -1,12 +1,13 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from qcong.congruence import Status
 from qcong.cyclotomic import CycloModulus
 from qcong.exact import ONE, Poly, QExpr
-from qcong.qcombinatorics import fk_sums, q_binomial, q_integer
+from qcong.qcombinatorics import fk_sums, q_binomial, q_fermat_quotient, q_integer
 from qcong.statements import (
     REGISTRY,
     HypothesisViolation,
@@ -181,6 +182,23 @@ def test_reciprocal_sums_match_term_by_term_reference():
                     for k in ks], zero)
         b2 = one_minus_qn * tail + QExpr(q_integer(n - a))
         assert REGISTRY["step_b2"].build(cell, "as_printed").rhs == b2
+        # step_a3 and step_b4, with the reciprocal terms of their right
+        # side added one QExpr at a time
+        one_minus_q = Poly([1, -1])
+        fermat = q_fermat_quotient(2, n)
+        alt = sum([QExpr((-1) ** k, _one_minus_qpow(k))
+                   for k in range(1, a + 1)], zero)
+        a3 = (-2 * alt - 2 * fermat / QExpr(one_minus_q)
+              - QExpr(1, _one_minus_qpow(n)) - Fraction(n - 1, 2)
+              + QExpr(1, _one_minus_qpow(a)))
+        assert REGISTRY["step_a3"].build(cell, "as_printed").rhs == a3
+        alt_q = sum([QExpr((-1) ** k, q_integer(k)).shifted(k)
+                     for k in range(1, a + 1)], zero)
+        inner = (Fraction(1 - n, 2) * QExpr(one_minus_q) - 2 * fermat
+                 - 2 * alt_q - QExpr(1, q_integer(n)).shifted(n)
+                 + QExpr(1, q_integer(a)).shifted(a))
+        b4 = inner.shifted(-a) / QExpr(one_minus_q)
+        assert REGISTRY["step_b4"].build(cell, "as_printed").rhs == b4
 
 
 def test_m_star_examples_and_q1_bridge():

@@ -645,10 +645,6 @@ class QExpr:
     def shift(self) -> int:
         return self._shift
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._num
-
     def __bool__(self):
         return bool(self._num)
 
@@ -666,9 +662,13 @@ class QExpr:
                 and self._shift == o._shift)
 
     def __hash__(self):
-        if self._den == ONE and self._shift == 0 and len(self._num) <= 1:
-            return hash(self._num)
-        return hash((self._num, self._den, self._shift))
+        # as the equal int, Fraction or Poly hashes, when there is one
+        num, den, shift = self._num, self._den, self._shift
+        if len(num) <= 1 and len(den) == 1 and not shift:
+            return hash(Fraction(num[0], den[0]))
+        if den == ONE and shift >= 0:
+            return hash(num.shifted(shift))
+        return hash((num, den, shift))
 
     def __neg__(self):
         return _qexpr(-self._num, self._den, self._shift)

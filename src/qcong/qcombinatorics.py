@@ -5,15 +5,15 @@ q-analogue of the Fermat quotient, and three flavors of q-harmonic sums.
 
 All results are exact. Gaussian binomials, the f_k sums, the Apery-type
 sums and every sum of c/(1 - q^m) are formed on one integer that packs
-the coefficients at B = 2^W: multiplying by 1 - q^m is a shift and a
-subtraction, and every division by 1 - q^j goes through one checked
-stride loop (_div_one_minus_qpow), so no large polynomial product,
-division or add is formed per term. frac_sum, which the q-harmonic sums
-go through, adds its terms over their known common denominator, a
-product of cyclotomic polynomials, and reduces the sum once. The Fermat
-quotient's Pochhammer ratio is a product of shift-adds. The heavily
-reused constructors are memoized since statement verification calls
-them across overlapping parameter grids.
+the coefficients at B = 2^W, so no large polynomial product, division or
+add is formed per term. The first three step by ratios of factors
+1 - q^m (_times_ratio) and are read under a q = 1 certificate (_read).
+frac_sum, which the q-harmonic sums go through, adds its terms over
+their known common denominator, a product of cyclotomic polynomials, and
+reduces the sum once. The Fermat quotient's Pochhammer ratio is a
+product of shift-adds. The heavily reused constructors are memoized
+since statement verification calls them across overlapping parameter
+grids.
 """
 
 from __future__ import annotations
@@ -54,10 +54,8 @@ def q_pochhammer(base_exp: int, count: int) -> Poly:
 def q_binomial(n: int, k: int) -> Poly:
     """Gaussian binomial coefficient; 0 outside 0 <= k <= n.
 
-    Built by the ratio recurrence [n, j] = [n, j-1] (1 - q^(n-j+1)) / (1 - q^j)
-    for j = 1..min(k, n-k), on one integer that packs the coefficients at
-    B = 2^W. Multiplying by 1 - q^m is a shift and a subtraction; dividing
-    by 1 - q^j multiplies by 1 + B^j + B^(2j) + ... and is checked exactly.
+    Stepped from 1 by [n, j] = [n, j-1] (1 - q^(n-j+1)) / (1 - q^j) for
+    j = 1..min(k, n-k) (_times_ratio), and read by _read.
 
     >>> q_binomial(4, 2)
     Poly([1, 1, 2, 1, 1])
@@ -71,18 +69,10 @@ def q_binomial(n: int, k: int) -> Poly:
     total = math.comb(n, k)
     w = _width(total.bit_length() + 2)
     bits = 8 * w
-    x = 1
+    x, deg = 1, 0
     for j in range(1, k + 1):
-        # [n, j] = [n, j-1] (1 - q^(n-j+1)) / (1 - q^j)
-        x -= x << ((n - j + 1) * bits)
-        x = _div_one_minus_qpow(x, j, j * (n - j) + 1, bits)
-    # Base-B digits that are all >= 0 and sum to [n, k](1) = C(n, k) are
-    # [n, k]'s own coefficients: those are >= 0 too, and every carry
-    # between slots would lower the digit sum by B - 1.
-    coeffs = _unpack(x, k * (n - k) + 1, w)
-    if coeffs is None or min(coeffs) < 0 or sum(coeffs) != total:
-        raise ArithmeticError(f"[{n}, {k}] overflowed its {w}-byte slots")
-    return _mk(coeffs)
+        x, deg = _times_ratio(x, deg, n - j + 1, j, bits)
+    return _read(x, deg + 1, w, total, f"[{n}, {k}]")
 
 
 def _div_one_minus_qpow(x: int, j: int, size: int, bits: int) -> int:
@@ -104,6 +94,31 @@ def _div_one_minus_qpow(x: int, j: int, size: int, bits: int) -> int:
     if x != low - (low << (j * bits)):
         raise ArithmeticError(f"1 - q^{j} did not divide exactly")
     return low
+
+
+def _times_ratio(x: int, deg: int, a: int, b: int, bits: int):
+    """(x (1 - B^a) / (1 - B^b), deg + a - b) at B = 2^bits.
+
+    x packs a polynomial of degree deg. Multiplying by 1 - B^a is a shift
+    and a subtraction; the division is _div_one_minus_qpow's, checked
+    exactly, and its quotient of degree deg + a - b must fit the slots.
+    """
+    deg += a - b
+    return _div_one_minus_qpow(x - (x << (a * bits)), b, deg + 1, bits), deg
+
+
+def _read(v: int, size: int, w: int, total: int, what: str) -> Poly:
+    """The polynomial of size coefficients packed in v at B = 2^(8w).
+
+    The polynomial must have coefficients >= 0 that sum to total, its
+    value at q = 1. Base-B digits that are all >= 0 and sum to total are
+    then its own coefficients, since every carry between slots would
+    lower the digit sum by B - 1; any other digits raise ArithmeticError.
+    """
+    coeffs = _unpack(v, size, w)
+    if coeffs is None or min(coeffs) < 0 or sum(coeffs) != total:
+        raise ArithmeticError(f"{what} overflowed its {w}-byte slots")
+    return _mk(coeffs)
 
 
 def fk_sums(n: int, alpha: int) -> tuple[Poly, Poly, Poly]:
@@ -140,16 +155,13 @@ def fk_sums(n: int, alpha: int) -> tuple[Poly, Poly, Poly]:
         for k in range(n - 1)))
     w = _width(peak.bit_length() + 1)
     bits = 8 * w
-
-    def deg(k):  # of [alpha+k-1, k] [alpha+n-1, n-1-k]
-        return k * (alpha - 1) + (n - 1 - k) * (alpha + k)
-
     x = _pack(q_binomial(alpha + n - 1, n - 1).coeffs, w)
+    deg = (n - 1) * alpha  # of [alpha+k-1, k] [alpha+n-1, n-1-k]
     plain = shifted = 0  # sums of f_k(B) and of f_k(B) B^k
     top = 0  # the largest degree of f_k
     for k in range(n):
         lift = math.comb(k + 1, 2)
-        top = max(top, lift + deg(k))
+        top = max(top, lift + deg)
         f = x << (lift * bits)
         plain += f
         shifted += f << (k * bits)
@@ -157,35 +169,24 @@ def fk_sums(n: int, alpha: int) -> tuple[Poly, Poly, Poly]:
             break
         # [alpha+k-1, k] -> [alpha+k, k+1], then
         # [alpha+n-1, n-1-k] -> [alpha+n-1, n-2-k]
-        x -= x << ((alpha + k) * bits)
-        x = _div_one_minus_qpow(x, k + 1, deg(k) + alpha, bits)
-        x -= x << ((n - 1 - k) * bits)
-        x = _div_one_minus_qpow(x, alpha + k + 1, deg(k + 1) + 1, bits)
+        x, deg = _times_ratio(x, deg, alpha + k, k + 1, bits)
+        x, deg = _times_ratio(x, deg, n - 1 - k, alpha + k + 1, bits)
     weighted = _div_one_minus_qpow(plain - shifted, 1, top + n, bits)
     double = _div_one_minus_qpow(shifted - (plain << (n * bits)), 1,
                                  top + n, bits)
-    # as in q_binomial: digits >= 0 that sum to the value at q = 1 are
-    # the coefficients themselves, since a carry would lower the sum
-    sums = []
-    for v, total in zip((plain, weighted, double), want):
-        coeffs = _unpack(v, top + n, w)
-        if coeffs is None or min(coeffs) < 0 or sum(coeffs) != total:
-            raise ArithmeticError(
-                f"f_k sums at n={n}, alpha={alpha} overflowed {w}-byte slots")
-        sums.append(_mk(coeffs))
-    return tuple(sums)
+    what = f"f_k sums at n={n}, alpha={alpha}"
+    return tuple(_read(v, top + n, w, total, what)
+                 for v, total in zip((plain, weighted, double), want))
 
 
 def apery_sum(n: int, r: int) -> Poly:
     """sum_(k<n) q^(r(n-k)^2 + (r-1)k) ([n+k, k] [n-1, k])^(2r).
 
     The Apéry-type left side of guguo (r = 1) and gsz_03. The square
-    s_k = ([n+k, k] [n-1, k])^2 is stepped on one integer packed at
-    B = 2^W, from s_0 = 1, by
+    s_k = ([n+k, k] [n-1, k])^2 is stepped from s_0 = 1 by
     s_(k+1) = s_k ((1 - q^(n+k+1)) (1 - q^(n-1-k)))^2 / (1 - q^(k+1))^4,
-    one factor at a time: each multiply is a shift and a subtraction,
-    each divide a checked stride division. s_k^r is an integer power, added
-    at its q-power.
+    one factor at a time (_times_ratio); s_k^r is an integer power, added
+    at its q-power, and the sum is read by _read.
 
     >>> apery_sum(2, 1)
     Poly([0, 1, 2, 3, 3, 1])
@@ -208,32 +209,19 @@ def apery_sum(n: int, r: int) -> Poly:
         for k in range(n - 1)])
     w = _width(peak.bit_length() + 1)
     bits = 8 * w
-
-    def deg(k):  # of [n+k, k] [n-1, k]
-        return k * n + k * (n - 1 - k)
-
-    x = 1  # s_k(B)
+    x, deg = 1, 0  # s_k(B) and its degree
     acc = 0
     top = 0  # the largest degree of a term
     for k in range(n):
         lift = r * (n - k) ** 2 + (r - 1) * k
-        top = max(top, lift + 2 * r * deg(k))
+        top = max(top, lift + r * deg)
         acc += x ** r << (lift * bits)
         if k == n - 1:
             break
         # [n+k, k] -> [n+k+1, k+1] twice, then [n-1, k] -> [n-1, k+1] twice
-        size = 2 * deg(k) + 1
         for m in (n + k + 1, n + k + 1, n - 1 - k, n - 1 - k):
-            x -= x << (m * bits)
-            size += m - (k + 1)
-            x = _div_one_minus_qpow(x, k + 1, size, bits)
-    # as in q_binomial: digits >= 0 that sum to the value at q = 1 are
-    # the coefficients themselves, since a carry would lower the sum
-    coeffs = _unpack(acc, top + 1, w)
-    if coeffs is None or min(coeffs) < 0 or sum(coeffs) != total:
-        raise ArithmeticError(
-            f"apery sum at n={n}, r={r} overflowed its {w}-byte slots")
-    return _mk(coeffs)
+            x, deg = _times_ratio(x, deg, m, k + 1, bits)
+    return _read(acc, top + 1, w, total, f"apery sum at n={n}, r={r}")
 
 
 @lru_cache(maxsize=None)

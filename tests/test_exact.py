@@ -169,7 +169,7 @@ def test_qexpr_canonical_form():
 
 def test_qexpr_zero_and_division():
     z = QExpr(0)
-    assert z.is_zero and z == 0 and not z
+    assert z == 0 and not z
     assert z.den == ONE
     with pytest.raises(ZeroDivisionError):
         QExpr(1, 0)
@@ -218,6 +218,20 @@ def test_qexpr_evaluation():
 def test_qexpr_hash_and_sets():
     s = {QExpr(1, 2), QExpr(2, 4), QExpr(Q)}
     assert len(s) == 2
+
+
+def test_qexpr_hashes_as_the_equal_int_fraction_or_poly():
+    pairs = [(QExpr(0), 0), (QExpr(-3), -3), (QExpr(-3), Poly([-3])),
+             (QExpr(1, 2), Fraction(1, 2)), (QExpr(-5, 3), Fraction(-5, 3)),
+             (QExpr(Poly([1, 1])), Poly([1, 1])),
+             (QExpr(Poly([0, 0, 1])), Poly([0, 0, 1])),
+             (QExpr(Poly([0, 2, 0, -1])), Poly([0, 2, 0, -1]))]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y), (x, y)
+        assert len({x, y}) == 1, (x, y)
+    # a negative q-shift or a nonconstant denominator equals no such value
+    assert QExpr(1).shifted(-1) != Poly([0, 1])
+    assert len({QExpr(1, Poly([1, 1])), QExpr(1, Poly([1, 1]))}) == 1
 
 
 def test_ring_axioms_random():

@@ -9,6 +9,7 @@ from qcong.cyclotomic import cyclotomic, divisors, phi_valuation
 from qcong import qcombinatorics
 from qcong.qcombinatorics import (
     _div_one_minus_qpow,
+    _times_ratio,
     apery_sum,
     fk_sums,
     frac_sum,
@@ -61,6 +62,24 @@ def test_q_binomial_symmetry_pascal_and_q1():
             assert all(c >= 0 for c in b.coeffs)
         if n >= 1 and k >= 0:
             assert b == q_binomial(n - 1, k - 1) + q_binomial(n - 1, k).shifted(k)
+
+
+def test_q_binomial_checks_its_digits(monkeypatch):
+    # a faulty read of the packed binomial: one digit made negative with
+    # the digit sum kept, or every digit kept >= 0 with the sum off by one
+    def negative(d):
+        return (d[0] + d[1] + 1, -1) + d[2:]
+
+    def off_by_one(d):
+        return (d[0] + 1,) + d[1:]
+
+    unpack = qcombinatorics._unpack
+    assert q_binomial.__wrapped__(8, 4)(1) == 70
+    for fault in (negative, off_by_one):
+        monkeypatch.setattr(qcombinatorics, "_unpack",
+                            lambda v, n, w: fault(unpack(v, n, w)))
+        with pytest.raises(ArithmeticError):
+            q_binomial.__wrapped__(8, 4)
 
 
 def _fk_sums_reference(n, alpha):
@@ -198,6 +217,18 @@ def test_packed_division_is_checked_exactly():
         _div_one_minus_qpow(1 + b, 1, 4, bits)
     with pytest.raises(ArithmeticError):
         _div_one_minus_qpow(1 - b ** 3, 2, 4, bits)
+
+
+def test_packed_ratio_step():
+    bits = 16
+    b = 1 << bits
+    # (1 + q) (1 - q^3) / (1 - q) = 1 + 2q + 2q^2 + q^3, of degree 1 + 3 - 1
+    assert _times_ratio(1 + b, 1, 3, 1, bits) == (1 + 2 * b + 2 * b**2 + b**3, 3)
+    # (1 + q^2) (1 - q^2) / (1 - q^4) = 1, of degree 2 + 2 - 4
+    assert _times_ratio(1 + b * b, 2, 2, 4, bits) == (1, 0)
+    # (1 + q^2) (1 - q^4) / (1 - q^3) is no polynomial
+    with pytest.raises(ArithmeticError):
+        _times_ratio(1 + b * b, 2, 4, 3, bits)
 
 
 def test_q_power():

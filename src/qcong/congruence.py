@@ -1,15 +1,19 @@
 """Decide congruences between rational q-expressions modulo products of
 cyclotomic powers, and between rational numbers modulo integers.
 
-Semantics: to check lhs = rhs mod prod Phi_d^e, form the normalized
-difference D = N/E and compare Phi_d-adic valuations per factor. The
-margin at d is val_d(N) - val_d(E). The congruence holds when every
-margin reaches the required exponent, fails when some margin falls short
-but none is negative, and is ill posed when the difference itself has a
-pole at a modulus factor. Working on the difference rather than on each
-side separately means a pole that cancels between the two sides does not
-poison the verdict; when both sides are individually admissible this
-reduces to the usual divisibility definition.
+Semantics: to check lhs = rhs mod prod Phi_d^e, form the difference
+D = q^s * N/E, unreduced, and compare Phi_d-adic valuations per factor.
+The margin at d is val_d(N) - val_d(E). It is the margin of the reduced
+difference: a factor common to N and E cancels in it, and the monic,
+primitive Phi_d divides neither q nor a nonzero integer. val_num and
+val_den are the margin's positive and negative parts. The congruence
+holds when every margin reaches the required exponent, fails when some
+margin falls short but none is negative, and is ill posed when the
+difference itself has a pole at a modulus factor. Working on the
+difference rather than on each side separately means a pole that
+cancels between the two sides does not poison the verdict; when both
+sides are individually admissible this reduces to the usual
+divisibility definition.
 
 reduce_mod writes a residue modulo M = prod Phi_d^e in its canonical form
 of degree below deg(M). It inverts the denominator with the integer
@@ -63,7 +67,13 @@ def _val_parse(v):
 
 @dataclass(frozen=True)
 class FactorCheck:
-    """Valuation bookkeeping for one modulus factor Phi_d^required."""
+    """Valuation bookkeeping for one modulus factor Phi_d^required.
+
+    val_num and val_den are the multiplicities of Phi_d in the numerator
+    and denominator of the reduced difference, at most one of them
+    positive: max(margin, 0) and max(-margin, 0). A zero difference has
+    val_num inf and val_den 0.
+    """
 
     d: int
     required: int
@@ -148,19 +158,32 @@ def check_congruence(lhs, rhs, modulus: CycloModulus) -> Verdict:
     lhs and rhs may be QExpr, Poly, Fraction, or int. The
     modulus must be nonempty; a congruence mod 1 carries no content and a
     request for one is treated as a usage error.
+
+    With lhs = q^s1 * a/b and rhs = q^s2 * c/d, the difference is
+    q^s * N/E with s = min(s1, s2), N = a*d*q^(s1-s) - c*b*q^(s2-s) and
+    E = b*d, left unreduced (N = a*q^(s1-s) - c*q^(s2-s) and E = b when
+    b == d). E is never formed: its valuation is v_d(b) + v_d(d), with no
+    call for a constant. No gcd or division reduces N/E; each factor's
+    record comes from the margin, as FactorCheck says.
     """
     if modulus.is_empty:
         raise ValueError("empty modulus")
-    diff = _as_qexpr(lhs) - _as_qexpr(rhs)
-    nb = diff.num
-    db = diff.den
+    x, y = _as_qexpr(lhs), _as_qexpr(rhs)
+    s = min(x.shift, y.shift)
+    a, b, c, d = x.num, x.den, y.num, y.den
+    if b == d:
+        dens = (b,)
+    else:
+        a, c, dens = a * d, c * b, (b, d)
+    num = a.shifted(x.shift - s) - c.shifted(y.shift - s)
+    # a zero N has margin inf, and no Phi_d divides a constant
+    dens = [p for p in dens if num and len(p) > 1]
     checks = []
     pole = False
     short = False
-    for d, e in modulus.factors:
-        vn = phi_valuation(nb, d)
-        vd = phi_valuation(db, d)
-        fc = FactorCheck(d, e, vn, vd)
+    for k, e in modulus.factors:
+        m = phi_valuation(num, k) - sum(phi_valuation(p, k) for p in dens)
+        fc = FactorCheck(k, e, max(m, 0), max(-m, 0))
         checks.append(fc)
         if fc.margin < 0:
             pole = True

@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from qcong import exact
 from qcong.exact import ONE, Poly, QExpr, ZERO, gcd_rational
-from qcong.cyclotomic import CycloModulus, cyclotomic, factor_q_integer
+from qcong.cyclotomic import (
+    CycloModulus, cyclotomic, factor_q_integer, phi_valuation,
+)
 from qcong.congruence import (
     CanonicalRep,
+    FactorCheck,
     NotInvertibleError,
     Status,
     Verdict,
@@ -259,3 +263,118 @@ def test_reduce_mod_of_the_t1_difference_at_21_20():
     assert str(built.modulus) == "Phi_21^2"
     r = reduce_mod(built.lhs - built.rhs, built.modulus)
     assert r.poly == ZERO and r.scale == 1
+
+
+def _reference_verdict(lhs, rhs, modulus):
+    # the canonical difference (adding to QExpr(0) coerces plain values),
+    # then the valuations of its num and den
+    diff = QExpr(0) + lhs - rhs
+    factors = tuple(
+        FactorCheck(d, e, phi_valuation(diff.num, d), phi_valuation(diff.den, d))
+        for d, e in modulus.factors
+    )
+    if any(f.margin < 0 for f in factors):
+        status = Status.ILL_POSED
+    elif all(f.passes for f in factors):
+        status = Status.HOLDS
+    else:
+        status = Status.FAILS
+    return Verdict(status, factors)
+
+
+DIFF_MODULI = [
+    PHI(2),
+    PHI(3, 2),
+    PHI(4, 3),
+    CycloModulus(((2, 2), (3, 1), (6, 2))),
+    factor_q_integer(12).raised_at(3, 2),
+]
+
+
+def _diff_cases(seed, count):
+    # (lhs, rhs, modulus, kind); dens come from a small pool so that
+    # equal denominators are common and every pole is at a modulus factor
+    rng = random.Random(seed)
+    dens = [ONE, Poly([2]), Poly([1, 2]), cyclotomic(2), cyclotomic(3),
+            cyclotomic(3) ** 2 * Poly([1, 1]), cyclotomic(4) * cyclotomic(6),
+            cyclotomic(2) * cyclotomic(12)]
+
+    def poly(top=6):
+        p = Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, top))])
+        if rng.random() < 0.3:
+            p = p * cyclotomic(rng.choice([2, 3, 4, 6, 12])) ** rng.randint(1, 3)
+        return p
+
+    def expr():
+        if rng.random() < 0.1:
+            return QExpr(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        return QExpr(poly(), rng.choice(dens)).shifted(rng.randint(-3, 3))
+
+    for _ in range(count):
+        m = rng.choice(DIFF_MODULI)
+        kind = rng.choice(["independent", "zero", "cancelling pole", "close"])
+        a = expr()
+        if kind == "independent":
+            b = expr()
+        elif kind == "zero":
+            # the same value, built with its shift in the other operand
+            t = rng.randint(-2, 2)
+            a, b = a.shifted(t) * QExpr(1).shifted(-t), a
+        elif kind == "cancelling pole":
+            pole = QExpr(poly(3), rng.choice(dens[3:]))
+            a, b = pole + a, pole
+        else:
+            # a and a + Phi_d^k * r / den: the margin at d is set by k
+            d, _ = rng.choice(m.factors)
+            step = QExpr(poly(3) * cyclotomic(d) ** rng.randint(0, 4),
+                         rng.choice(dens)).shifted(rng.randint(-3, 3))
+            b = a + step
+        yield a, b, m, kind
+
+
+def test_check_congruence_matches_the_canonical_difference():
+    cells, shapes = set(), set()
+    for a, b, m, kind in _diff_cases(59, 400):
+        got = check_congruence(a, b, m)
+        assert got.to_dict() == _reference_verdict(a, b, m).to_dict(), (a, b, m)
+        cells.add((kind, a.den == b.den, got.status))
+        if a.shift != b.shift:
+            shapes.add(("shift", a.shift < b.shift))
+        if len(a.num) == 1 and len(a.den) == 1:
+            shapes.add(("constant", a.den != ONE))
+    assert len(shapes) == 4
+    assert {s for _, _, s in cells} == set(Status)
+    assert ("zero", True, Status.HOLDS) in cells
+    assert any(k == "cancelling pole" and s is Status.HOLDS for k, _, s in cells)
+    for same_den in (True, False):
+        assert any(eq is same_den and s is Status.ILL_POSED for _, eq, s in cells)
+        assert any(eq is same_den and s is Status.FAILS for _, eq, s in cells)
+    # plain values go through the same difference
+    for x, y, m in [(Poly([0, 0, 0, 1]), 1, PHI(3)),
+                    (Fraction(1, 2), Fraction(5, 2), PHI(2, 2)),
+                    (Fraction(1, 3), Poly([1, 1]), factor_q_integer(6))]:
+        assert check_congruence(x, y, m).to_dict() == \
+            _reference_verdict(x, y, m).to_dict()
+
+
+def test_check_congruence_takes_no_gcd(monkeypatch):
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return gcd_rational(a, b)
+
+    monkeypatch.setattr(exact, "gcd_rational", counting_gcd)
+    m = factor_q_integer(6).raised_at(3)
+    pole = QExpr(Poly([1, 2]), cyclotomic(3) * Poly([1, 1]))
+    pairs = [
+        (pole + QExpr(m.poly()), pole),
+        (pole + QExpr(Poly([1, 0, 1])), pole),
+        (QExpr(Poly([2, 1]), cyclotomic(3)).shifted(2), QExpr(1, cyclotomic(6))),
+        (QExpr(Poly([0] * 6 + [1])), QExpr(Poly([-1, 0, 0, 2]))),
+        (QExpr(Fraction(1, 2)), QExpr(Poly([3, 1]), cyclotomic(3))),
+    ]
+    calls.clear()
+    verdicts = [check_congruence(a, b, m) for a, b in pairs]
+    assert calls == []
+    assert {v.status for v in verdicts} == set(Status)

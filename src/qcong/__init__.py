@@ -35,7 +35,6 @@ from .euler import (
 from .exact import (
     BothZeroError,
     NotDivisibleError,
-    PoleAtOneError,
     Poly,
     QExpr,
     gcd_rational,
@@ -66,7 +65,6 @@ __all__ = [
     "HypothesisViolation",
     "NotDivisibleError",
     "NotInvertibleError",
-    "PoleAtOneError",
     "Poly",
     "QExpr",
     "RationalSeries",

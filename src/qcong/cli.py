@@ -162,11 +162,7 @@ def _records_csv(records) -> str:
     )
     for r in records:
         pd = r.param_dict
-        factors = " | ".join(
-            f"Phi_{f.d}: need {f.required},"
-            f" margin {f.to_dict()['margin']}"
-            for f in r.verdict.factors
-        )
+        factors = " | ".join(map(str, r.verdict.factors))
         writer.writerow(
             [r.statement, r.variant, *[pd.get(p, "") for p in names],
              r.verdict.status.value, factors, r.verdict.note, r.elapsed_ms]

@@ -97,6 +97,10 @@ class FactorCheck:
             "margin": _val_str(self.margin),
         }
 
+    def __str__(self):
+        return (f"Phi_{self.d}: need {self.required},"
+                f" margin {_val_str(self.margin)}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "FactorCheck":
         return cls(
@@ -136,11 +140,7 @@ class Verdict:
         )
 
     def __str__(self):
-        bits = [self.status.value]
-        for f in self.factors:
-            bits.append(
-                f"Phi_{f.d}: need {f.required}, margin {_val_str(f.margin)}"
-            )
+        bits = [self.status.value, *map(str, self.factors)]
         if self.note:
             bits.append(self.note)
         return "; ".join(bits)

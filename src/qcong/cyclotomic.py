@@ -104,18 +104,17 @@ def cyclotomic_by_mobius(n: int) -> Poly:
 def phi_valuation(p: Poly, d: int):
     """Multiplicity of cyclotomic(d) in p; math.inf for the zero polynomial.
 
-    p and Phi_d are packed into integers at one power of two, and p's
-    integer is divided by Phi_d's while the remainder is 0
-    (exact._kronecker_valuation). The count is accepted only when the
-    quotient's size proves that it is the multiplicity; otherwise exact
-    polynomial division by Phi_d, repeated, decides.
+    exact._kronecker_valuation packs p and Phi_d at one power of two and
+    divides p's integer by Phi_d's while the remainder is 0; it returns
+    the count only under its size certificate. Otherwise exact polynomial
+    division by Phi_d, repeated, decides.
     """
     if not p:
         return math.inf
     phi = cyclotomic(d)
-    v = _kronecker_valuation(p.coeffs, phi.coeffs)
-    if v is not None:
-        return v
+    vq = _kronecker_valuation(p.coeffs, phi.coeffs)
+    if vq is not None:
+        return vq[0]
     v = 0
     while True:
         nxt = p.try_exact_div(phi)
@@ -160,9 +159,6 @@ class CycloModulus:
         for d, e in self.factors:
             out = out * cyclotomic(d) ** e
         return out
-
-    def degree(self) -> int:
-        return sum(e * euler_phi(d) for d, e in self.factors)
 
     def __str__(self):
         if not self.factors:

@@ -13,21 +13,20 @@ every fast result carries a certificate:
   polynomials are evaluated at 2^k, the integers are multiplied, and the
   product's balanced base-2^k digits are read back. k bounds every
   product coefficient, so the digits are the coefficients.
-- Exact division by a long divisor packs both operands at 2^k and takes
-  the integer divmod. A nonzero remainder proves non-divisibility; a
-  quotient is accepted only when multiplying it back reproduces the
-  dividend. Otherwise k is widened a few times, then schoolbook long
-  division decides.
+- Exact division by a long divisor and the Phi_d valuations share one
+  routine, _kronecker_valuation: both operands are packed at B = 2^k and
+  the integer a(B) is divided by b(B), up to a given number of times,
+  while the remainder is 0. A nonzero remainder at the first division
+  proves that b does not divide a. A count v >= 1 and its quotient Q are
+  accepted only when |Q|_inf |b|_1^v < B/2, which makes b^v Q and a the
+  balanced digits of one integer. Otherwise k is widened a few times,
+  then long division, repeated for a valuation, decides.
 - gcd_rational runs the heuristic gcd GCDHEU of Char, Geddes and Gonnet:
   an integer gcd of values at a large point xi, rebuilt from symmetric
   base-xi digits and accepted only when it divides both inputs. Otherwise
   the primitive pseudo-remainder sequence decides. Long polynomials are
   evaluated at an integer by pairing neighbouring coefficients and
   squaring the point, not by Horner's rule.
-- The multiplicity of a divisor (_kronecker_valuation, for the Phi_d
-  valuations) is the number of times its packed value divides the
-  dividend's; it is accepted only when the quotient is small enough that
-  the digit strings prove it, else repeated exact division decides.
 
 Short operands keep the schoolbook loops, which are faster there. One
 Z-division loop, _divmod_z, serves exact division, the PRS
@@ -59,10 +58,6 @@ class NotDivisibleError(ArithmeticError):
 
 class BothZeroError(ValueError):
     """Raised when a gcd of two zero polynomials is requested."""
-
-
-class PoleAtOneError(ZeroDivisionError):
-    """Raised when a QExpr is evaluated at q = 1 but has a pole there."""
 
 
 def _strip(coeffs):
@@ -154,40 +149,19 @@ def _schoolbook_mul(a, b) -> list:
     return out
 
 
-def _kronecker_div(a, b):
-    """Certified exact quotient a / b in Z[q] by Kronecker substitution.
+def _kronecker_valuation(a, b, most=math.inf):
+    """Certified split a = b^v Q of the nonzero a by Kronecker substitution.
 
-    Returns the quotient's coefficients, None when b provably does not
-    divide a, or False when no width tried gave a certified answer.
-    """
-    n = len(a) - len(b) + 1
-    bits = max(_max_bits(a), _max_bits(b)) + len(a).bit_length()
-    for _ in range(_KRONECKER_DIV_TRIES):
-        w = _width(bits)
-        qv, r = divmod(_pack(a, w), _pack(b, w))
-        if r:
-            # b | a in Z[q] forces b(2^k) | a(2^k) in Z for every k
-            return None
-        q = _unpack(qv, n, w)
-        # The quotient's coefficients may outgrow 2^(k-1), so only a
-        # multiply-back proves the digits read are the quotient. At this
-        # width it costs no product: q(2^k) b(2^k) = qv b(2^k) = a(2^k), so
-        # when 2^(k-1) also bounds every coefficient of q*b, both q*b and a
-        # are the balanced digits of one integer and q*b = a.
-        if q is not None and q[-1] and (
-                _max_bits(q) + _max_bits(b) + min(n, len(b)).bit_length()
-                < 8 * w or _kronecker_mul(q, b) == a):
-            return q
-        bits *= 2
-    return False
+    a and b are packed at B = 2^k, and a(B) is divided by b(B), at most
+    `most` times, while the remainder is 0. Returns (v, Q), Q's
+    coefficients, with b^v Q = a in Z[q]; when v < most, b^(v+1) does not
+    divide a, so v is b's multiplicity. Returns None when no width tried
+    gave a certified answer. An unbounded `most` needs b != ±1.
 
-
-def _kronecker_valuation(a, b):
-    """Certified multiplicity of b in the nonzero a by Kronecker substitution.
-
-    a and b are packed at B = 2^k, and a(B) is divided by b(B) while the
-    remainder is 0; v counts the exact divisions. Returns v, or None when
-    no width tried gave a certified answer.
+    >>> _kronecker_valuation((1, -2, 1), (-1, 1))
+    (2, (1,))
+    >>> _kronecker_valuation((1, -2, 1), (-1, 1), 1)
+    (1, (-1, 1))
     """
     bits = max(_max_bits(a), _max_bits(b)) + len(a).bit_length()
     norm_bits = sum(map(abs, b)).bit_length()  # bits(|b|_1)
@@ -195,7 +169,7 @@ def _kronecker_valuation(a, b):
         w = _width(bits)
         x, y = _pack(a, w), _pack(b, w)
         v = 0
-        while True:
+        while v < most:
             qv, r = divmod(x, y)
             if r:
                 break
@@ -203,15 +177,15 @@ def _kronecker_valuation(a, b):
             v += 1
         if not v:
             # b | a in Z[q] forces b(B) | a(B) in Z
-            return 0
+            return 0, a
         # Q(B) = a(B) / b(B)^v. When 2^(k-1) bounds |Q|_inf |b|_1^v, hence
         # every coefficient of b^v Q, then b^v Q and a are the balanced
-        # digits of one integer, so b^v divides a; and b(B)^(v+1) does not
-        # divide a(B), so b^(v+1) does not divide a.
+        # digits of one integer, so b^v Q = a; and when v < most, b(B)^(v+1)
+        # does not divide a(B), so b^(v+1) does not divide a.
         n = len(a) - v * (len(b) - 1)
         q = _unpack(x, n, w) if n > 0 else None
         if q is not None and _max_bits(q) + v * norm_bits < 8 * w - 1:
-            return v
+            return v, q
         bits *= 2
     return None
 
@@ -391,9 +365,9 @@ class Poly:
         if len(a) < len(b):
             return None
         if len(b) >= _KRONECKER_DIV_MIN_LEN:
-            q = _kronecker_div(a, b)
-            if q is not False:
-                return None if q is None else _mk(q)
+            vq = _kronecker_valuation(a, b, 1)
+            if vq is not None:
+                return _mk(vq[1]) if vq[0] else None
         q = _long_div(a, b)
         return None if q is None else _mk(q)
 
@@ -745,13 +719,6 @@ class QExpr:
         if dv == 0 or (x == 0 and self._shift < 0):
             raise ZeroDivisionError(f"pole at q = {x}")
         return self._num(x) * x ** self._shift / dv
-
-    def eval_at_one(self) -> Fraction:
-        """Value at q = 1, exact. Raises PoleAtOneError when den(1) = 0."""
-        dv = self._den(1)
-        if dv == 0:
-            raise PoleAtOneError("denominator vanishes at q = 1")
-        return Fraction(self._num(1), dv)
 
     def __str__(self):
         n = str(self._num)

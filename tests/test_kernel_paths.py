@@ -9,8 +9,8 @@ against the Pochhammer quotient and, for large rows, against their values
 at q = 1, 2, -2 and 3. Phi_d valuations from repeated division of one
 packed integer are checked against repeated polynomial division, and
 pairwise-split evaluation against Horner's rule. A last block
-cross-checks products, gcds and cyclotomic remainders against sympy when
-it is installed.
+cross-checks products, gcds, exact quotients and cyclotomic remainders
+against sympy when it is installed.
 """
 
 import math
@@ -100,17 +100,22 @@ def test_divide_matches_long_division():
                 a = tuple(ex._schoolbook_mul(q, b))
                 # divisible: the quotient comes back exactly
                 assert ex._long_div(a, b) == list(q)
-                assert ex._kronecker_div(a, b) in (q, False)
+                assert ex._kronecker_valuation(a, b, 1) in ((1, q), None)
                 assert Poly(a).try_exact_div(Poly(b)).coeffs == q
+                # a = b^2 q: one division, however many more b allows
+                bq = tuple(ex._schoolbook_mul(b, q))
+                a2 = tuple(ex._schoolbook_mul(b, bq))
+                assert ex._kronecker_valuation(a2, b, 1) in ((1, bq), None)
+                assert Poly(a2).try_exact_div(Poly(b)).coeffs == bq
                 # not divisible: a nonzero remainder of lower degree
                 r = list(a)
                 r[rng.randrange(len(b) - 1 or 1)] += rng.choice((1, -1))
                 r = tuple(ex._strip(r))
                 if r and len(r) >= len(b):
                     want = ex._long_div(r, b)
-                    got = ex._kronecker_div(r, b)
-                    assert got is False or got == (
-                        None if want is None else tuple(want))
+                    got = ex._kronecker_valuation(r, b, 1)
+                    assert got is None or got == (
+                        (0, r) if want is None else (1, tuple(want)))
                     assert Poly(r).try_exact_div(Poly(b)) == (
                         None if want is None else Poly(want))
 
@@ -152,7 +157,8 @@ def test_divide_with_quotient_far_larger_than_dividend():
     den = q_pochhammer(1, 24) ** 2
     want = ex._long_div(num.coeffs, den.coeffs)
     assert max(map(abs, want)).bit_length() > 30
-    assert ex._kronecker_div(num.coeffs, den.coeffs) == tuple(want)
+    assert ex._kronecker_valuation(num.coeffs, den.coeffs, 1) == (
+        1, tuple(want))
     assert num.exact_div(den) == Poly(want)
 
 
@@ -163,7 +169,8 @@ def test_divide_rejects_quotient_read_at_too_narrow_a_width():
     den = Poly([1, -1]) ** 4
     want = ex._long_div(num.coeffs, den.coeffs)
     assert max(want).bit_length() > 20
-    assert ex._kronecker_div(num.coeffs, den.coeffs) == tuple(want)
+    assert ex._kronecker_valuation(num.coeffs, den.coeffs, 1) == (
+        1, tuple(want))
     assert num.exact_div(den) == Poly(want)
 
 
@@ -172,7 +179,7 @@ def test_divide_falls_back_when_widths_run_out(monkeypatch):
     den = q_pochhammer(1, 24) ** 2
     want = Poly(ex._long_div(num.coeffs, den.coeffs))
     monkeypatch.setattr(ex, "_KRONECKER_DIV_TRIES", 1)
-    assert ex._kronecker_div(num.coeffs, den.coeffs) is False
+    assert ex._kronecker_valuation(num.coeffs, den.coeffs, 1) is None
     assert num.exact_div(den) == want
     assert (num + 1).try_exact_div(den) is None
 
@@ -357,6 +364,15 @@ def test_against_sympy():
             if g.LC() < 0:
                 g = -g
             assert gcd_rational(a, b) == from_sympy(g)
+            # exact quotients, and non-divisibility, as sympy sees them
+            # over Z; only a unit b divides both a*b and a*b + 1
+            p, sym_b = a * b, to_sympy(b)
+            assert p.exact_div(b) == from_sympy(
+                to_sympy(p).exquo(sym_b, auto=False))
+            if b not in (ONE, -ONE):
+                with pytest.raises(sympy.polys.polyerrors.ExactQuotientFailed):
+                    to_sympy(p + 1).exquo(sym_b, auto=False)
+                assert (p + 1).try_exact_div(b) is None
     # rem(num, Phi_d^e) == 0 exactly when the Phi_d valuation reaches e
     for d in (3, 5, 12, 25):
         phi = cyclotomic(d)

@@ -243,9 +243,9 @@ def test_q_fermat_quotient_known_values():
     assert q_fermat_quotient(2, 3) == QExpr(Poly([0, 1]))  # exactly q
     assert q_fermat_quotient(2, 1) == 0
     assert q_fermat_quotient(1, 7) == 0
-    assert q_fermat_quotient(2, 5).eval_at_one() == 3  # (2^4 - 1)/5
-    assert q_fermat_quotient(3, 5).eval_at_one() == 16  # (3^4 - 1)/5
-    assert q_fermat_quotient(2, 7).eval_at_one() == 9  # (2^6 - 1)/7
+    assert q_fermat_quotient(2, 5)(1) == 3  # (2^4 - 1)/5
+    assert q_fermat_quotient(3, 5)(1) == 16  # (3^4 - 1)/5
+    assert q_fermat_quotient(2, 7)(1) == 9  # (2^6 - 1)/7
     with pytest.raises(ValueError):
         q_fermat_quotient(2, 0)
 
@@ -291,9 +291,9 @@ def test_q_harmonic_matches_slow_reference():
 
 def test_q_harmonic_q1_shadow():
     # at q=1 the sums collapse to classical harmonic-type sums
-    h = q_harmonic("alternating", 5).eval_at_one()
+    h = q_harmonic("alternating", 5)(1)
     assert h == Fraction(-1) + Fraction(1, 2) - Fraction(1, 3) + Fraction(1, 4) - Fraction(1, 5)
-    he = q_harmonic("plain_even", 3).eval_at_one()
+    he = q_harmonic("plain_even", 3)(1)
     assert he == Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 6)
 
 

@@ -82,8 +82,9 @@ def build_grid(stmt, overrides):
     if not overrides:
         return stmt.default_grid()
     defaults = stmt.default_grid()
+    names = stmt.params
     axes = []
-    for name in stmt.params:
+    for name in names:
         vals, parity = overrides.get(name, (None, None))
         if vals is None:
             vals = sorted({cell[name] for cell in defaults})
@@ -93,7 +94,7 @@ def build_grid(stmt, overrides):
         axes.append(vals)
     cells = []
     for combo in itertools.product(*axes):
-        params = dict(zip(stmt.params, combo))
+        params = dict(zip(names, combo))
         try:
             stmt.hypotheses(params)
         except HypothesisViolation:
@@ -321,13 +322,8 @@ def _compute(args):
 def cmd_report(args) -> int:
     selector = "all" if args.all or args.statement is None else args.statement
     statements = select_statements(selector)
-    variants = {}
-    for stmt in statements:
-        variants[stmt.tag] = [stmt.canonical_variant]
-        if stmt.canonical_variant != "as_printed":
-            variants[stmt.tag].append("as_printed")
     grouped = _verify_runs(
-        [(tag, v, None) for tag, vs in variants.items() for v in vs],
+        [(s.tag, v, None) for s in statements for v in reversed(s.variants)],
         args.jobs,
     )
     per_cell = []
@@ -342,7 +338,7 @@ def cmd_report(args) -> int:
         }
         if stmt.note:
             entry["note"] = stmt.note
-        for variant in variants[stmt.tag]:
+        for variant in reversed(stmt.variants):
             records = grouped[(stmt.tag, variant)]
             per_cell.extend(records)
             if variant == stmt.canonical_variant:

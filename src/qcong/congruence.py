@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .cyclotomic import CycloModulus, phi_valuation
-from .exact import ONE, Poly, QExpr, ZERO, _pseudo_divmod
+from .exact import ONE, Poly, QExpr, ZERO, _mk, _pseudo_divmod, _split
 
 __all__ = [
     "CycloModulus",
@@ -146,10 +146,13 @@ class Verdict:
         return "; ".join(bits)
 
 
-def _as_qexpr(x) -> QExpr:
+def _parts(x):
+    # (num, den, shift) of a QExpr, Poly, int or Fraction; a plain side is
+    # taken as it stands, with no canonicalization and so no gcd
     if isinstance(x, QExpr):
-        return x
-    return QExpr(x)
+        return x.num, x.den, x.shift
+    num, den = _split(x)
+    return num, _mk((den,)), 0
 
 
 def check_congruence(lhs, rhs, modulus: CycloModulus) -> Verdict:
@@ -168,14 +171,14 @@ def check_congruence(lhs, rhs, modulus: CycloModulus) -> Verdict:
     """
     if modulus.is_empty:
         raise ValueError("empty modulus")
-    x, y = _as_qexpr(lhs), _as_qexpr(rhs)
-    s = min(x.shift, y.shift)
-    a, b, c, d = x.num, x.den, y.num, y.den
+    a, b, s1 = _parts(lhs)
+    c, d, s2 = _parts(rhs)
+    s = min(s1, s2)
     if b == d:
         dens = (b,)
     else:
         a, c, dens = a * d, c * b, (b, d)
-    num = a.shifted(x.shift - s) - c.shifted(y.shift - s)
+    num = a.shifted(s1 - s) - c.shifted(s2 - s)
     # a zero N has margin inf, and no Phi_d divides a constant
     dens = [p for p in dens if num and len(p) > 1]
     checks = []
@@ -256,13 +259,12 @@ def reduce_mod(expr: QExpr, modulus: CycloModulus) -> CanonicalRep:
     """
     if modulus.is_empty:
         raise ValueError("empty modulus")
-    expr = _as_qexpr(expr)
+    num, den, shift = _parts(expr)
     m = modulus.poly()
-    num, den = expr.num, expr.den
-    if expr.shift > 0:
-        num = num.shifted(expr.shift)
-    elif expr.shift < 0:
-        den = den.shifted(-expr.shift)
+    if shift > 0:
+        num = num.shifted(shift)
+    elif shift < 0:
+        den = den.shifted(-shift)
     r0, s0, r1, s1 = m, ZERO, den, ONE
     while len(r1) > 1:
         k, quo, rem = _pseudo_divmod(r0, r1)

@@ -22,11 +22,11 @@ every fast result carries a certificate:
   balanced digits of one integer. Otherwise k is widened a few times,
   then long division, repeated for a valuation, decides.
 - gcd_rational runs the heuristic gcd GCDHEU of Char, Geddes and Gonnet:
-  an integer gcd of values at a large point xi, rebuilt from symmetric
-  base-xi digits and accepted only when it divides both inputs. Otherwise
-  the primitive pseudo-remainder sequence decides. Long polynomials are
-  evaluated at an integer by pairing neighbouring coefficients and
-  squaring the point, not by Horner's rule.
+  an integer gcd of values at a point xi = 2^(8w), read back into
+  balanced digits by the same unpacker and accepted only when it divides
+  both inputs. Otherwise the primitive pseudo-remainder sequence decides.
+  Long polynomials are evaluated at an integer by pairing neighbouring
+  coefficients and squaring the point, not by Horner's rule.
 
 Short operands keep the schoolbook loops, which are faster there. One
 Z-division loop, _divmod_z, serves exact division, the PRS
@@ -477,19 +477,6 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
-def _symmetric_digits(h: int, xi: int) -> list:
-    # h = sum d_i xi^i with every digit in (-xi/2, xi/2]
-    out = []
-    half = xi // 2
-    while h:
-        h, d = divmod(h, xi)
-        if d > half:
-            d -= xi
-            h += 1
-        out.append(d)
-    return out
-
-
 def _heu_gcd(a: Poly, b: Poly):
     """GCDHEU on primitive nonconstant inputs, up to sign; None when no
     point tried gave a certified gcd.
@@ -499,19 +486,23 @@ def _heu_gcd(a: Poly, b: Poly):
     Theorem 1 (also Geddes, Czapor and Labahn, "Algorithms for Computer
     Algebra", 1992, Theorem 7.7): for primitive a, b and an integer
     xi > 1 + 2 min(|a|_inf, |b|_inf), let G be the primitive part of the
-    polynomial whose symmetric base-xi digits are gcd(a(xi), b(xi)). If G
-    divides both a and b, then G is their gcd. The start point
-    2 min(...) + 29 lies above that bound, and xi only grows.
+    polynomial whose balanced base-xi digits are gcd(a(xi), b(xi)). If G
+    divides both a and b, then G is their gcd. Here xi = 2^(8w), so the
+    digits come from _unpack; the first w puts xi above that bound, and w
+    only grows.
     """
-    xi = 2 * min(_norm(a._c), _norm(b._c)) + 29
+    n = min(len(a), len(b))
+    w = _width((2 * min(_norm(a._c), _norm(b._c)) + 1).bit_length())
     for _ in range(_HEU_GCD_TRIES):
-        h = math.gcd(a(xi), b(xi))
-        g = _mk(_symmetric_digits(h, xi)).primitive()
-        if len(g) == 1 or (a._div_core(g) is not None
-                           and b._div_core(g) is not None):
-            return g
-        # growth factor of Char, Geddes and Gonnet
-        xi = xi * 73794 // 27011
+        xi = 1 << (8 * w)
+        digits = _unpack(math.gcd(a(xi), b(xi)), n, w)
+        # more than n digits: G would outgrow a or b and divide neither
+        if digits is not None:
+            g = _mk(digits).primitive()
+            if len(g) == 1 or (a._div_core(g) is not None
+                               and b._div_core(g) is not None):
+                return g
+        w = _width(8 * w)
     return None
 
 

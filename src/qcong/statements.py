@@ -29,6 +29,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .congruence import Status, Verdict, check_congruence, check_int_congruence
 from .cyclotomic import CycloModulus, factor_q_integer, is_prime
@@ -472,25 +473,24 @@ def _build_b7(p, variant):
     return QCongruence(QExpr(fk_sums(n, a)[1]), _b7_rhs(n, a), _phi(n, 2))
 
 
+def _euler_form(m: int, x: int) -> Fraction:
+    """(-1)^x/2 * (E_m(x+1) + (-1)^x E_m(0))."""
+    sign = (-1) ** x
+    return Fraction(sign, 2) * (
+        euler_polynomial_value(m, x + 1) + sign * euler_polynomial_value(m, 0)
+    )
+
+
 def _build_identity_t0(p, variant):
     m, n = p["m"], p["n"]
     lhs = Fraction(sum((-1) ** k * k ** m for k in range(1, n + 1)))
-    sign = (-1) ** n
-    rhs = Fraction(sign, 2) * (
-        euler_polynomial_value(m, n + 1) + sign * euler_polynomial_value(m, 0)
-    )
-    return RationalIdentity(lhs, rhs)
+    return RationalIdentity(lhs, _euler_form(m, n))
 
 
 def _build_cong_t0a(p, variant):
     pp, a = p["p"], p["alpha"]
     lhs = sum(Fraction((-1) ** k, k) for k in range(1, a + 1))
-    sign = (-1) ** a
-    rhs = Fraction(sign, 2) * (
-        euler_polynomial_value(pp - 2, a + 1)
-        + sign * euler_polynomial_value(pp - 2, 0)
-    )
-    return IntCongruence(Fraction(lhs), rhs, pp)
+    return IntCongruence(Fraction(lhs), _euler_form(pp - 2, a), pp)
 
 
 # ---------------------------------------------------------------------------
@@ -500,23 +500,27 @@ def _build_cong_t0a(p, variant):
 class Statement:
     tag: str
     description: str
-    params: tuple
     build: object
     hypotheses: object
     default_grid: object
-    variants: tuple = ("as_printed",)
     canonical_variant: str = "as_printed"
     note: str = ""
 
+    @cached_property
+    def params(self) -> tuple:
+        """Parameter names, in the order of the default grid's cells."""
+        return tuple(self.default_grid()[0])
 
-def _odd_range(lo, hi):
-    return [n for n in range(lo, hi + 1) if n % 2 == 1]
+    @property
+    def variants(self) -> tuple:
+        """as_printed, then the canonical variant where that differs."""
+        return tuple(dict.fromkeys(("as_printed", self.canonical_variant)))
 
 
-def _theorem_grid(n_hi, n_lo=3):
+def _theorem_grid(n_hi):
     return [
         {"n": n, "alpha": a}
-        for n in _odd_range(n_lo, n_hi)
+        for n in range(3, n_hi + 1, 2)
         for a in range(2, n + 1, 2)
     ]
 
@@ -532,14 +536,14 @@ def _grid_steps():
 def _grid_a4():
     return [
         {"n": n, "alpha": a, "k": k}
-        for n in _odd_range(3, 15)
+        for n in range(3, 16, 2)
         for a in range(2, n + 1, 2)
         for k in range(0, n - a)
     ]
 
 
-def _grid_n_odd(lo, hi):
-    return [{"n": n} for n in _odd_range(lo, hi)]
+def _grid_n_odd(hi):
+    return [{"n": n} for n in range(3, hi + 1, 2)]
 
 
 def _grid_cor():
@@ -592,7 +596,6 @@ _STATEMENTS = [
     Statement(
         "t1",
         "weighted q-binomial sum = harmonic/Fermat-quotient combination mod Phi_n^2",
-        ("n", "alpha"),
         _build_t1,
         _hyp_theorem,
         _grid_t1,
@@ -600,7 +603,6 @@ _STATEMENTS = [
     Statement(
         "t2",
         "doubly weighted q-binomial sum = q-shifted combination mod Phi_n^2",
-        ("n", "alpha"),
         _build_t2,
         _hyp_theorem,
         _grid_t1,
@@ -608,11 +610,9 @@ _STATEMENTS = [
     Statement(
         "cor1a",
         "integer corollary of t1 at q -> 1, congruence mod p^2",
-        ("p", "alpha"),
         _build_cor1a,
         _hyp_corollary,
         _grid_cor,
-        variants=("as_printed", "standard_fermat_quotient"),
         canonical_variant="standard_fermat_quotient",
         note="the printed Fermat quotient (2^p-1)/p is off by 2^p from the"
         " standard (2^(p-1)-1)/p; both variants are evaluated",
@@ -620,18 +620,15 @@ _STATEMENTS = [
     Statement(
         "cor1b",
         "integer corollary of t2 at q -> 1, congruence mod p^2",
-        ("p", "alpha"),
         _build_cor1b,
         _hyp_corollary,
         _grid_cor,
-        variants=("as_printed", "standard_fermat_quotient"),
         canonical_variant="standard_fermat_quotient",
         note="same printed Fermat-quotient constant as cor1a",
     ),
     Statement(
         "pan1",
         "even q-harmonic sum vs q-Fermat quotient mod Phi_p^2",
-        ("p",),
         _build_pan1,
         _hyp_odd_prime,
         _grid_pan,
@@ -639,11 +636,9 @@ _STATEMENTS = [
     Statement(
         "pan2",
         "alternating vs even q-harmonic sums mod Phi_p^2",
-        ("p",),
         _build_pan2,
         _hyp_odd_prime,
         _grid_pan,
-        variants=("as_printed", "corrected"),
         canonical_variant="corrected",
         note="the printed left side carries a stray factor 2; without it"
         " the congruence holds",
@@ -651,7 +646,6 @@ _STATEMENTS = [
     Statement(
         "guozeng_01",
         "Apery-style binomial sum divisible by n",
-        ("n",),
         _build_guozeng,
         _hyp_positive_n,
         lambda: [{"n": n} for n in range(1, 51)],
@@ -659,7 +653,6 @@ _STATEMENTS = [
     Statement(
         "guguo",
         "q-analogue of the Apery-style sum mod Phi_n^2",
-        ("n",),
         _build_guguo,
         _hyp_positive_n,
         lambda: [{"n": n} for n in range(2, 21)],
@@ -667,7 +660,6 @@ _STATEMENTS = [
     Statement(
         "gsz_03",
         "higher-power q-binomial sum mod [n] Phi_n^3",
-        ("n", "r"),
         _build_gsz,
         _hyp_gsz,
         lambda: [{"n": n, "r": r} for n in range(2, 13) for r in (1, 2, 3)],
@@ -675,23 +667,20 @@ _STATEMENTS = [
     Statement(
         "lemma_a1",
         "alternating reciprocal sum vs even reciprocal sum mod Phi_n",
-        ("n",),
         _build_lemma_a1,
         _hyp_odd_n,
-        lambda: _grid_n_odd(3, 25),
+        lambda: _grid_n_odd(25),
     ),
     Statement(
         "lemma_a2",
         "even reciprocal sum vs q-Fermat quotient mod Phi_n",
-        ("n",),
         _build_lemma_a2,
         _hyp_odd_n,
-        lambda: _grid_n_odd(3, 25),
+        lambda: _grid_n_odd(25),
     ),
     Statement(
         "step_a3",
         "shifted alternating reciprocal sum reduced mod Phi_n",
-        ("n", "alpha"),
         _build_a3,
         _hyp_theorem,
         _grid_steps,
@@ -699,7 +688,6 @@ _STATEMENTS = [
     Statement(
         "step_a4",
         "single q-binomial flipped into reciprocal form mod Phi_n^2",
-        ("n", "alpha", "k"),
         _build_a4,
         _hyp_a4,
         _grid_a4,
@@ -710,7 +698,6 @@ _STATEMENTS = [
     Statement(
         "step_a5",
         "corner-adjusted weighted q-binomial sum mod Phi_n^2",
-        ("n", "alpha"),
         _build_a5,
         _hyp_theorem,
         _grid_steps,
@@ -718,7 +705,6 @@ _STATEMENTS = [
     Statement(
         "step_a6",
         "q-binomial ratio expansion with (1+q^i)/(1-q^i) sum mod Phi_n^2",
-        ("n", "alpha"),
         _build_a6,
         _hyp_theorem,
         _grid_steps,
@@ -726,11 +712,9 @@ _STATEMENTS = [
     Statement(
         "step_a7",
         "q-binomial expansion with reciprocal sum mod Phi_n^2",
-        ("n", "alpha"),
         _build_a7,
         _hyp_theorem,
         _grid_steps,
-        variants=("as_printed", "corrected"),
         canonical_variant="corrected",
         note="the printed form omits the (1-q^n) factor on the reciprocal"
         " sum; the corrected variant restores it",
@@ -738,7 +722,6 @@ _STATEMENTS = [
     Statement(
         "step_a8",
         "product of two q-binomials reduced mod Phi_n^2",
-        ("n", "alpha"),
         _build_a8,
         _hyp_theorem,
         _grid_steps,
@@ -746,7 +729,6 @@ _STATEMENTS = [
     Statement(
         "step_a9_0",
         "q^(tn) linearized in (1-q^n) mod Phi_n^2",
-        ("t", "n"),
         _build_a9_0,
         _hyp_positive_n,
         lambda: [{"t": t, "n": n} for t in range(-3, 5) for n in range(1, 13)],
@@ -754,7 +736,6 @@ _STATEMENTS = [
     Statement(
         "step_a9",
         "triangular q-power exponent linearized mod Phi_n^2",
-        ("n", "alpha"),
         _build_a9,
         _hyp_a9,
         _grid_steps,
@@ -762,7 +743,6 @@ _STATEMENTS = [
     Statement(
         "step_a10",
         "tail of the t1 sum (k >= 1) reduced mod Phi_n^2",
-        ("n", "alpha"),
         _build_a10,
         _hyp_theorem,
         _grid_steps,
@@ -770,7 +750,6 @@ _STATEMENTS = [
     Statement(
         "step_a11_a12",
         "k = 0 term of the t1 sum equals [n]/[alpha] mod Phi_n^2",
-        ("n", "alpha"),
         _build_a11_a12,
         _hyp_theorem,
         _grid_steps,
@@ -778,11 +757,9 @@ _STATEMENTS = [
     Statement(
         "step_b1",
         "double sum telescoped to a [k]-weighted sum mod Phi_n^2",
-        ("n", "alpha"),
         _build_b1,
         _hyp_theorem,
         _grid_steps,
-        variants=("as_printed", "corrected"),
         canonical_variant="corrected",
         note="the printed leading term [n] has the wrong sign; the"
         " corrected variant uses -[n]",
@@ -790,7 +767,6 @@ _STATEMENTS = [
     Statement(
         "step_b2",
         "[k]-weighted sum minus corner term in reciprocal form mod Phi_n^2",
-        ("n", "alpha"),
         _build_b2,
         _hyp_theorem,
         _grid_steps,
@@ -798,15 +774,13 @@ _STATEMENTS = [
     Statement(
         "step_b3",
         "q-weighted alternating reciprocal sum mod Phi_n",
-        ("n",),
         _build_b3,
         _hyp_odd_n,
-        lambda: _grid_n_odd(3, 15),
+        lambda: _grid_n_odd(15),
     ),
     Statement(
         "step_b4",
         "shifted q-weighted alternating reciprocal sum mod Phi_n",
-        ("n", "alpha"),
         _build_b4,
         _hyp_theorem,
         _grid_steps,
@@ -814,7 +788,6 @@ _STATEMENTS = [
     Statement(
         "step_b5",
         "second triangular q-power exponent linearized mod Phi_n^2",
-        ("n", "alpha"),
         _build_b5,
         _hyp_a9,
         _grid_steps,
@@ -822,11 +795,9 @@ _STATEMENTS = [
     Statement(
         "step_b6",
         "corner product reduced to q-integer combination mod Phi_n^2",
-        ("n", "alpha"),
         _build_b6,
         _hyp_theorem,
         _grid_steps,
-        variants=("as_printed", "corrected"),
         canonical_variant="corrected",
         note="the printed bracket drops a factor 1/2 on (2 alpha - n - 1);"
         " the printed form only coincides when alpha = (n+1)/2",
@@ -834,7 +805,6 @@ _STATEMENTS = [
     Statement(
         "step_b7",
         "[k]-weighted sum reduced to the t2 combination mod Phi_n^2",
-        ("n", "alpha"),
         _build_b7,
         _hyp_theorem,
         _grid_steps,
@@ -842,7 +812,6 @@ _STATEMENTS = [
     Statement(
         "identity_t0",
         "alternating power sum expressed by Euler polynomials, exact",
-        ("m", "n"),
         _build_identity_t0,
         _hyp_t0,
         lambda: [{"m": m, "n": n} for m in range(1, 11) for n in range(1, 51)],
@@ -852,7 +821,6 @@ _STATEMENTS = [
     Statement(
         "cong_t0a",
         "alternating harmonic number vs Euler polynomial values mod p",
-        ("p", "alpha"),
         _build_cong_t0a,
         _hyp_t0a,
         lambda: [

@@ -378,3 +378,16 @@ def test_check_congruence_takes_no_gcd(monkeypatch):
     verdicts = [check_congruence(a, b, m) for a, b in pairs]
     assert calls == []
     assert {v.status for v in verdicts} == set(Status)
+    # plain Poly, int and Fraction sides are read as they stand
+    plain = [
+        (Poly(range(1, 400)), Poly([1, 2, 3]), PHI(3)),
+        (Poly([0, 0, 2, 1]), 5, PHI(3, 2)),
+        (Fraction(3, 4), Poly([1, 1]), PHI(2)),
+    ]
+    residues = [(Poly([1, 2, 3]), PHI(5)), (Fraction(-7, 6), PHI(5))]
+    want = [check_congruence(QExpr(a), QExpr(b), mod) for a, b, mod in plain]
+    want_reps = [reduce_mod(QExpr(x), mod) for x, mod in residues]
+    calls.clear()
+    assert [check_congruence(a, b, mod) for a, b, mod in plain] == want
+    assert [reduce_mod(x, mod) for x, mod in residues] == want_reps
+    assert calls == []

@@ -213,6 +213,8 @@ def test_gcd_matches_prs():
         if a.degree > 0 and b.degree > 0:
             heu = ex._heu_gcd(a.primitive(), b.primitive())
             assert heu is None or heu in (want, -want)
+    # b vanishes at the first point, 2^8, so only a wider one decides
+    assert ex._heu_gcd(Poly([0, 1]), Poly([-256, 1])) == ONE
 
 
 def test_gcd_falls_back_to_prs(monkeypatch):

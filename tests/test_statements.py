@@ -42,6 +42,8 @@ def test_registry_variant_consistency():
     for stmt in REGISTRY.values():
         assert stmt.canonical_variant in stmt.variants
         assert "as_printed" in stmt.variants
+    assert REGISTRY["cor1a"].variants == ("as_printed", "standard_fermat_quotient")
+    assert REGISTRY["t1"].variants == ("as_printed",)
 
 
 def test_default_grids_satisfy_hypotheses():
@@ -49,6 +51,9 @@ def test_default_grids_satisfy_hypotheses():
         for params in stmt.default_grid():
             stmt.hypotheses(params)  # must not raise
             assert set(params) == set(stmt.params)
+    assert REGISTRY["t1"].params == ("n", "alpha")
+    assert REGISTRY["step_a4"].params == ("n", "alpha", "k")
+    assert REGISTRY["step_a9_0"].params == ("t", "n")
 
 
 def _status(tag, params, variant=None):

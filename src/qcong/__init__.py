@@ -39,7 +39,7 @@ from .exact import (
     QExpr,
     gcd_rational,
 )
-from .lehmer import RationalSeries, base_series, lehmer_euler_numbers
+from .lehmer import lehmer_euler_numbers
 from .qcombinatorics import (
     q_binomial,
     q_fermat_quotient,
@@ -67,13 +67,11 @@ __all__ = [
     "NotInvertibleError",
     "Poly",
     "QExpr",
-    "RationalSeries",
     "REGISTRY",
     "Statement",
     "Status",
     "Verdict",
     "VerdictRecord",
-    "base_series",
     "check_congruence",
     "check_int_congruence",
     "cyclotomic",

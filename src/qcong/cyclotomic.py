@@ -1,11 +1,11 @@
 """Cyclotomic polynomials over Z and moduli built from their powers.
 
-cyclotomic(n) is computed by exact division of q^n - 1 by the lower-order
-factors, which stays in Z[q] throughout. phi_valuation counts the
-divisions of a packed integer by Phi_d's value at the packing point and
-accepts the count only with a size certificate. CycloModulus describes a
-product of prime-power style factors Phi_d(q)^e used as a congruence
-modulus.
+cyclotomic(n) reduces n to its radical, then divides Phi_m(q^p) by
+Phi_m(q) once for each prime p of n, so it stays in Z[q] throughout.
+phi_valuation counts the divisions of a packed integer by Phi_d's value
+at the packing point and accepts the count only with a size certificate.
+CycloModulus describes a product of prime-power style factors Phi_d(q)^e
+used as a congruence modulus.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import ONE, Poly, _kronecker_valuation
+from .exact import ONE, Poly, _kronecker_valuation, _mk
 
 
 def divisors(n: int) -> list[int]:
@@ -72,6 +72,11 @@ def mobius(n: int) -> int:
 def cyclotomic(n: int) -> Poly:
     """The n-th cyclotomic polynomial as a Poly.
 
+    Phi_n(q) = Phi_rad(q^(n/rad)) for rad the product of n's distinct
+    primes, and for squarefree n = m p, p its largest prime,
+    Phi_n(q) = Phi_m(q^p) / Phi_m(q): one certified exact division per
+    prime of n.
+
     >>> print(cyclotomic(6))
     1 - q + q^2
     """
@@ -79,26 +84,19 @@ def cyclotomic(n: int) -> Poly:
         raise ValueError("n must be positive")
     if n == 1:
         return Poly([-1, 1])
-    p = Poly([-1] + [0] * (n - 1) + [1])
-    for d in divisors(n):
-        if d < n:
-            p = p.exact_div(cyclotomic(d))
-    return p
+    primes = prime_factors(n)
+    rad = math.prod(primes)
+    if rad != n:
+        return _stretched(cyclotomic(rad), n // rad)
+    m = n // primes[-1]
+    return _stretched(cyclotomic(m), primes[-1]).exact_div(cyclotomic(m))
 
 
-def cyclotomic_by_mobius(n: int) -> Poly:
-    """Independent construction: product of (q^d - 1)^mobius(n/d) over d | n."""
-    num, den = ONE, ONE
-    for d in divisors(n):
-        mu = mobius(n // d)
-        if mu == 0:
-            continue
-        block = Poly([-1] + [0] * (d - 1) + [1])
-        if mu == 1:
-            num = num * block
-        else:
-            den = den * block
-    return num.exact_div(den)
+def _stretched(p: Poly, k: int) -> Poly:
+    # p(q^k)
+    out = [0] * ((len(p) - 1) * k + 1)
+    out[::k] = p.coeffs
+    return _mk(out)
 
 
 def phi_valuation(p: Poly, d: int):

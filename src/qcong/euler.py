@@ -2,30 +2,41 @@
 
 Euler polynomials come from exact truncated-series division of 2e^(xt) by
 e^t + 1 over the rationals, not from a lookup table, so every value here
-is recomputable from one definition. The alternating-power-sum identity
-and its harmonic congruence mod p that they satisfy are the statements
-identity_t0 and cong_t0a of the registry in statements.py.
+is recomputable from one definition; a value E_m(x) is read from E_m's
+integer numerators over one common denominator, kept once per m. The
+Euler numbers come from Seidel's boustrophedon, which only adds integers.
+The alternating-power-sum identity and its harmonic congruence mod p that
+they satisfy are the statements identity_t0 and cong_t0a of the registry
+in statements.py.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
 
 def euler_numbers(count: int) -> list[int]:
-    """E_0 .. E_count by the recurrence sum(C(2n,2k) E_2k, k=0..n) = 0.
+    """E_0 .. E_count by Seidel's boustrophedon; odd indices are zero.
 
-    Odd indices are zero.
+    Row n of the Seidel-Entringer triangle is 0 followed by the running
+    sums of row n - 1 read backwards; its last entry is the zigzag number
+    A_n, and E_2n = (-1)^n A_2n.
+
+    >>> euler_numbers(8)
+    [1, 0, -1, 0, 5, 0, -61, 0, 1385]
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     table = [0] * (count + 1)
     table[0] = 1
-    for n in range(1, count // 2 + 1):
-        table[2 * n] = -sum(
-            math.comb(2 * n, 2 * k) * table[2 * k] for k in range(n)
-        )
+    row = [1]
+    for n in range(1, count + 1):
+        row = [0, *accumulate(reversed(row))]
+        if n % 2 == 0:
+            table[n] = -row[-1] if n % 4 else row[-1]
     return table
 
 
@@ -62,13 +73,31 @@ def euler_polynomial(m: int) -> list[Fraction]:
     return [c * fact for c in _scaled_euler_poly(m)]
 
 
+@lru_cache(maxsize=None)
+def _integer_form(m: int) -> tuple[tuple[int, ...], int]:
+    # E_m(x) = sum(nums[j] x^j) / den, den the lcm of the denominators
+    coeffs = euler_polynomial(m)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * den) for c in coeffs), den
+
+
 def euler_polynomial_value(m: int, x) -> Fraction:
-    """E_m evaluated at a rational point."""
-    acc = Fraction(0)
+    """E_m evaluated at a rational point.
+
+    With x = a/b in lowest terms, b^m den E_m(x) = sum(nums[j] a^j b^(m-j))
+    is an integer Horner loop.
+
+    >>> euler_polynomial_value(3, Fraction(1, 2))
+    Fraction(0, 1)
+    """
+    nums, den = _integer_form(m)
     x = Fraction(x)
-    for c in reversed(euler_polynomial(m)):
-        acc = acc * x + c
-    return acc
+    a, b = x.numerator, x.denominator
+    acc, bpow = 0, 1
+    for c in reversed(nums):
+        acc = acc * a + c * bpow
+        bpow *= b
+    return Fraction(acc, den * b ** m)
 
 
 def higher_order_euler(alpha: int, n: int) -> Fraction:

@@ -1,113 +1,40 @@
-"""Generalized Lehmer-Euler numbers of order alpha via exact power-series
-inversion over Q.
+"""Generalized Lehmer-Euler numbers of order alpha, exactly over Q.
 
-The base series for modulus r is sum_{l>=0} t^(rl)/(rl)!, which equals the
-average of e^(zeta^j t) over the r-th roots of unity; raising it to the
-power -alpha and scaling coefficient n by n! gives the number W_{r,n} of
-order alpha. No root-of-unity arithmetic is ever needed.
+The base series for modulus r is f(t) = sum_{l>=0} t^(rl)/(rl)!, which
+equals the average of e^(zeta^j t) over the r-th roots of unity; W_{r,n}
+of order alpha is n! times the t^n coefficient of f^(-alpha). No
+root-of-unity arithmetic is ever needed, and no series is truncated:
+J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7)
+gives each coefficient of f^s from the ones before it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
-
-class ConstantTermNotUnitError(ArithmeticError):
-    """Series inversion requires constant term exactly 1."""
-
-
-@dataclass(frozen=True)
-class RationalSeries:
-    """Truncated power series over Q; coeffs[i] is the t^i coefficient.
-
-    Arithmetic truncates to the shorter operand, so results are valid
-    through min of the operand orders.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
-        if not self.coeffs:
-            raise ValueError("series needs at least the constant term")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i]
-
-    def __mul__(self, other: "RationalSeries") -> "RationalSeries":
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, x in enumerate(self.coeffs[: n + 1]):
-            if x:
-                for j, y in enumerate(other.coeffs[: n + 1 - i]):
-                    if y:
-                        out[i + j] += x * y
-        return RationalSeries(out)
-
-    def inverse(self) -> "RationalSeries":
-        if self.coeffs[0] != 1:
-            raise ConstantTermNotUnitError(
-                f"constant term {self.coeffs[0]} is not 1"
-            )
-        f = self.coeffs
-        g = [Fraction(1)] + [Fraction(0)] * self.order
-        for m in range(1, self.order + 1):
-            g[m] = -sum(f[i] * g[m - i] for i in range(1, m + 1))
-        return RationalSeries(g)
-
-
-def base_series(r: int, order: int) -> RationalSeries:
-    """Coefficient 1/i! at indices divisible by r, zero elsewhere."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return RationalSeries(
-        [Fraction(1, math.factorial(i)) if i % r == 0 else Fraction(0)
-         for i in range(order + 1)]
-    )
-
-
-def series_pow_neg(f: RationalSeries, alpha: int) -> RationalSeries:
-    """f^(-alpha) through the truncation order of f; alpha >= 1."""
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    inv = f.inverse()
-    out = None
-    base = inv
-    n = alpha
-    while n:
-        if n & 1:
-            out = base if out is None else out * base
-        n >>= 1
-        if n:
-            base = base * base
-    return out
 
 
 def lehmer_euler_numbers(r: int, alpha: int, count: int) -> list[Fraction]:
     """W_{r,n} of order alpha for n = 0..count, as exact rationals.
 
-    Computed twice, at truncation orders count and count+4, and compared;
-    a mismatch would mean the truncated arithmetic leaked, so it is an
-    internal error rather than a verdict.
+    For g = f^s with f_0 = 1, Miller's recurrence reads
+    m g_m = sum_{k=1..m} ((s + 1)k - m) f_k g_(m-k). With s = -alpha,
+    f_k = 1/k! at r | k and W_m = m! g_m it becomes
+    m W_m = sum_{r|k, 1<=k<=m} ((1 - alpha)k - m) C(m, k) W_(m-k), W_0 = 1.
+
+    >>> [str(w) for w in lehmer_euler_numbers(2, 1, 6)]
+    ['1', '0', '-1', '0', '5', '0', '-61']
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     if r < 1 or alpha < 1:
         raise ValueError("need r >= 1 and alpha >= 1")
-    series = series_pow_neg(base_series(r, count), alpha)
-    recheck = series_pow_neg(base_series(r, count + 4), alpha)
-    if series.coeffs != recheck.coeffs[: count + 1]:
-        raise RuntimeError("truncation-order mismatch in series power")
-    return [
-        math.factorial(n) * series[n] for n in range(count + 1)
-    ]
+    w = [Fraction(1)]
+    for m in range(1, count + 1):
+        # from Fraction(0), so an empty sum (m < r) is not the int 0
+        total = Fraction(0)
+        for k in range(r, m + 1, r):
+            if w[m - k]:
+                total += ((1 - alpha) * k - m) * math.comb(m, k) * w[m - k]
+        w.append(total / m)
+    return w

@@ -897,8 +897,24 @@ def run_cell(tag: str, variant: str, params: dict) -> VerdictRecord:
     return VerdictRecord(tag, variant, key, verdict, elapsed, hyp_err)
 
 
-def _run_cell_star(args):
-    return run_cell(*args)
+def _guided_chunks(cells: list, workers: int) -> list[list]:
+    """Cut cells, in order, into chunks of floor(left / (2 workers)) of the
+    cells still left, at least one each, so sizes never increase and the
+    last cells go out one at a time to whichever worker is free.
+
+    >>> [len(c) for c in _guided_chunks(list(range(20)), 2)]
+    [5, 3, 3, 2, 1, 1, 1, 1, 1, 1, 1]
+    """
+    chunks, start = [], 0
+    while start < len(cells):
+        size = max(1, (len(cells) - start) // (2 * workers))
+        chunks.append(cells[start:start + size])
+        start += size
+    return chunks
+
+
+def _run_cells(chunk):
+    return [run_cell(*c) for c in chunk]
 
 
 def verify(tag, grid=None, variant: str | None = None, jobs: int = 1):
@@ -930,12 +946,10 @@ def verify(tag, grid=None, variant: str | None = None, jobs: int = 1):
         cells.extend((run_tag, run_variant, params) for params in run_grid)
     workers = min(jobs, len(cells))
     if workers > 1:
-        # about 8 chunks per worker: chunks of one cost a round trip per
-        # cell, while a few large chunks leave workers idle at the end
-        chunksize = -(-len(cells) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_cell_star, cells, chunksize=chunksize))
+            chunks = pool.map(_run_cells, _guided_chunks(cells, workers))
+            records = [rec for chunk in chunks for rec in chunk]
     else:
-        records = [run_cell(*c) for c in cells]
+        records = _run_cells(cells)
     records.sort(key=lambda r: (r.statement, r.variant, r.params))
     return records

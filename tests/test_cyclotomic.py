@@ -6,7 +6,6 @@ from qcong.exact import Poly, ONE
 from qcong.cyclotomic import (
     CycloModulus,
     cyclotomic,
-    cyclotomic_by_mobius,
     divisors,
     euler_phi,
     factor_q_integer,
@@ -73,9 +72,26 @@ def test_product_over_divisors_is_qn_minus_1():
         assert prod == Poly([-1] + [0] * (n - 1) + [1])
 
 
+def cyclotomic_by_mobius(n: int) -> Poly:
+    """Independent construction: product of (q^d - 1)^mobius(n/d) over d | n."""
+    num, den = ONE, ONE
+    for d in divisors(n):
+        mu = mobius(n // d)
+        if mu == 0:
+            continue
+        block = Poly([-1] + [0] * (d - 1) + [1])
+        if mu == 1:
+            num = num * block
+        else:
+            den = den * block
+    return num.exact_div(den)
+
+
 def test_mobius_construction_agrees():
-    for n in (1, 2, 3, 4, 8, 12, 15, 21, 30, 60, 105):
-        assert cyclotomic_by_mobius(n) == cyclotomic(n)
+    # every n <= 300, then four primes with a square (1260), six primes
+    # (30030) and two prime powers
+    for n in [*range(1, 301), 1260, 30030, 2 ** 10, 3 ** 6]:
+        assert cyclotomic_by_mobius(n) == cyclotomic(n), n
 
 
 def test_phi_105_has_coefficient_minus_two():

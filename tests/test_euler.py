@@ -58,3 +58,28 @@ def test_higher_order_euler_values():
         assert higher_order_euler(1, n) == table[n]
     with pytest.raises(ValueError):
         higher_order_euler(0, 1)
+
+
+def test_euler_numbers_satisfy_binomial_recurrence():
+    # sum_k C(2n, 2k) E_2k = 0 for n >= 1: the definition the boustrophedon
+    # replaced
+    table = euler_numbers(400)
+    assert len(table) == 401 and table[0] == 1
+    for n in range(1, 201):
+        assert sum(math.comb(2 * n, 2 * k) * table[2 * k] for k in range(n + 1)) == 0
+    assert all(table[n] == 0 for n in range(1, 401, 2))
+    assert euler_numbers(0) == [1] and euler_numbers(1) == [1, 0]
+
+
+def test_polynomial_value_matches_rational_horner():
+    points = (0, 1, 7, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(5, 12), "3/4")
+    for m in range(31):
+        coeffs = euler_polynomial(m)
+        for x in points:
+            expected = Fraction(0)
+            for c in reversed(coeffs):
+                expected = expected * Fraction(x) + c
+            value = euler_polynomial_value(m, x)
+            assert type(value) is Fraction and value == expected, (m, x)
+    with pytest.raises(ValueError):
+        euler_polynomial_value(-1, 0)

@@ -18,6 +18,7 @@ from qcong.statements import (
     _alt_frac_sum,
     _even_recip_sum,
     _grid_steps,
+    _guided_chunks,
     evaluate_built,
     m_star,
     run_cell,
@@ -269,6 +270,27 @@ def test_verify_runs_share_one_pool(pools):
         verify(runs, grid=[{"t": 1, "n": 3}])
     with pytest.raises(ValueError):
         verify(runs, variant="as_printed")
+
+
+def test_guided_chunks_plan():
+    for n_cells in (0, 1, 2, 3, 5, 7, 884):
+        for workers in (2, 3, 4):
+            cells = list(range(n_cells))
+            chunks = _guided_chunks(cells, workers)
+            # every cell exactly once, in order, no empty chunk
+            assert [c for chunk in chunks for c in chunk] == cells
+            assert all(chunks)
+            sizes = [len(chunk) for chunk in chunks]
+            assert sizes == sorted(sizes, reverse=True)
+            left = n_cells
+            for size in sizes:
+                assert size == max(1, left // (2 * workers))
+                left -= size
+            # the last 2 * workers cells go out one at a time
+            assert sizes[-min(n_cells, 2 * workers):] == [1] * min(n_cells, 2 * workers)
+    # fewer cells than 2 * workers: one cell per chunk
+    assert _guided_chunks(["a", "b", "c"], 2) == [["a"], ["b"], ["c"]]
+    assert [len(c) for c in _guided_chunks(list(range(884)), 2)][:3] == [221, 165, 124]
 
 
 def test_verdict_record_json_round_trip():

@@ -2,9 +2,9 @@
 
 Euler polynomials come from exact truncated-series division of 2e^(xt) by
 e^t + 1 over the rationals, not from a lookup table, so every value here
-is recomputable from one definition; a value E_m(x) is read from E_m's
-integer numerators over one common denominator, kept once per m. The
-Euler numbers come from Seidel's boustrophedon, which only adds integers.
+is recomputable from one definition. Each E_m is kept once, as integer
+numerators over one common denominator; its coefficient list and its
+values E_m(x) are both read from that form. The Euler numbers come from Seidel's boustrophedon, which only adds integers.
 The alternating-power-sum identity and its harmonic congruence mod p that
 they satisfy are the statements identity_t0 and cong_t0a of the registry
 in statements.py.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 
 
@@ -40,23 +39,28 @@ def euler_numbers(count: int) -> list[int]:
     return table
 
 
-# s_m = E_m(x)/m! as ascending Fraction coefficient lists, from
-# (e^t + 1)/2 * sum s_m t^m = e^(xt)
-_scaled_cache: list[list[Fraction]] = [[Fraction(1)]]
+# E_m(x) = sum(nums[j] x^j) / den as (nums, den), den the lcm of the
+# denominators; k! times the t^k coefficient of
+# (e^t + 1)/2 * sum E_m(x) t^m / m! = e^(xt) gives
+# E_k(x) = x^k - 1/2 sum(C(k, i) E_(k-i)(x), i = 1..k)
+_integer_forms: list[tuple[tuple[int, ...], int]] = [((1,), 1)]
 
 
-def _scaled_euler_poly(m: int) -> list[Fraction]:
-    while len(_scaled_cache) <= m:
-        k = len(_scaled_cache)
+def _integer_form(m: int) -> tuple[tuple[int, ...], int]:
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    while len(_integer_forms) <= m:
+        k = len(_integer_forms)
         coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1, math.factorial(k))
+        coeffs[k] = Fraction(1)
         for i in range(1, k + 1):
-            prev = _scaled_cache[k - i]
-            w = Fraction(1, 2 * math.factorial(i))
-            for j, c in enumerate(prev):
+            nums, den = _integer_forms[k - i]
+            w = Fraction(math.comb(k, i), 2 * den)
+            for j, c in enumerate(nums):
                 coeffs[j] -= w * c
-        _scaled_cache.append(coeffs)
-    return _scaled_cache[m]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        _integer_forms.append((tuple(int(c * den) for c in coeffs), den))
+    return _integer_forms[m]
 
 
 def euler_polynomial(m: int) -> list[Fraction]:
@@ -67,18 +71,8 @@ def euler_polynomial(m: int) -> list[Fraction]:
     >>> euler_polynomial(2)
     [Fraction(0, 1), Fraction(-1, 1), Fraction(1, 1)]
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    fact = math.factorial(m)
-    return [c * fact for c in _scaled_euler_poly(m)]
-
-
-@lru_cache(maxsize=None)
-def _integer_form(m: int) -> tuple[tuple[int, ...], int]:
-    # E_m(x) = sum(nums[j] x^j) / den, den the lcm of the denominators
-    coeffs = euler_polynomial(m)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(int(c * den) for c in coeffs), den
+    nums, den = _integer_form(m)
+    return [Fraction(c, den) for c in nums]
 
 
 def euler_polynomial_value(m: int, x) -> Fraction:

@@ -899,15 +899,18 @@ def run_cell(tag: str, variant: str, params: dict) -> VerdictRecord:
 
 def _guided_chunks(cells: list, workers: int) -> list[list]:
     """Cut cells, in order, into chunks of floor(left / (2 workers)) of the
-    cells still left, at least one each, so sizes never increase and the
-    last cells go out one at a time to whichever worker is free.
+    cells still left, at least one and at most ceil(cells / (8 workers))
+    each, so sizes never increase and the last cells go out one at a time
+    to whichever worker is free. The cap keeps heavy cells at the front
+    of the grid (t1 and t2 open the registry) spread over the workers.
 
-    >>> [len(c) for c in _guided_chunks(list(range(20)), 2)]
-    [5, 3, 3, 2, 1, 1, 1, 1, 1, 1, 1]
+    >>> [len(c) for c in _guided_chunks(list(range(40)), 2)]
+    [3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 1, 1, 1, 1, 1, 1]
     """
+    cap = -(-len(cells) // (8 * workers))
     chunks, start = [], 0
     while start < len(cells):
-        size = max(1, (len(cells) - start) // (2 * workers))
+        size = max(1, min(cap, (len(cells) - start) // (2 * workers)))
         chunks.append(cells[start:start + size])
         start += size
     return chunks

@@ -273,7 +273,7 @@ def test_verify_runs_share_one_pool(pools):
 
 
 def test_guided_chunks_plan():
-    for n_cells in (0, 1, 2, 3, 5, 7, 884):
+    for n_cells in (0, 1, 2, 3, 5, 7, 40, 884, 1500):
         for workers in (2, 3, 4):
             cells = list(range(n_cells))
             chunks = _guided_chunks(cells, workers)
@@ -282,15 +282,19 @@ def test_guided_chunks_plan():
             assert all(chunks)
             sizes = [len(chunk) for chunk in chunks]
             assert sizes == sorted(sizes, reverse=True)
+            cap = -(-n_cells // (8 * workers))
             left = n_cells
             for size in sizes:
-                assert size == max(1, left // (2 * workers))
+                assert size == max(1, min(cap, left // (2 * workers)))
                 left -= size
             # the last 2 * workers cells go out one at a time
             assert sizes[-min(n_cells, 2 * workers):] == [1] * min(n_cells, 2 * workers)
     # fewer cells than 2 * workers: one cell per chunk
     assert _guided_chunks(["a", "b", "c"], 2) == [["a"], ["b"], ["c"]]
-    assert [len(c) for c in _guided_chunks(list(range(884)), 2)][:3] == [221, 165, 124]
+    # no chunk is larger than the fixed ceil(cells / (8 * workers)) it
+    # replaced, so heavy cells at the front of the grid are spread too
+    sizes = [len(c) for c in _guided_chunks(list(range(884)), 2)]
+    assert sizes[:12] == [56] * 12 and sizes[12:15] == [53, 39, 30]
 
 
 def test_verdict_record_json_round_trip():

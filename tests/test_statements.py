@@ -291,8 +291,8 @@ def test_guided_chunks_plan():
             assert sizes[-min(n_cells, 2 * workers):] == [1] * min(n_cells, 2 * workers)
     # fewer cells than 2 * workers: one cell per chunk
     assert _guided_chunks(["a", "b", "c"], 2) == [["a"], ["b"], ["c"]]
-    # no chunk is larger than the fixed ceil(cells / (8 * workers)) it
-    # replaced, so heavy cells at the front of the grid are spread too
+    # no chunk is larger than ceil(cells / (8 * workers)), so heavy cells
+    # at the front of the grid are spread over the workers too
     sizes = [len(c) for c in _guided_chunks(list(range(884)), 2)]
     assert sizes[:12] == [56] * 12 and sizes[12:15] == [53, 39, 30]
 

@@ -2,14 +2,16 @@
 cyclotomic powers, and between rational numbers modulo integers.
 
 Semantics: to check lhs = rhs mod prod Phi_d^e, form the difference
-D = q^s * N/E, unreduced, and compare Phi_d-adic valuations per factor.
-The margin at d is val_d(N) - val_d(E). It is the margin of the reduced
-difference: a factor common to N and E cancels in it, and the monic,
-primitive Phi_d divides neither q nor a nonzero integer. val_num and
-val_den are the margin's positive and negative parts. The congruence
-holds when every margin reaches the required exponent, fails when some
-margin falls short but none is negative, and is ill posed when the
-difference itself has a pole at a modulus factor. Working on the
+D = q^s * N/E * prod Phi_d^(m_d), unreduced, where m holds the
+cyclotomic factors that both sides carry factored, and compare Phi_d-adic
+valuations per factor. The margin at d is val_d(N) + m_d - val_d(E). It
+is the margin of the reduced difference: a factor common to N and E
+cancels in it, and the monic, primitive Phi_d divides neither q nor a
+nonzero integer. val_num and val_den are the margin's positive and
+negative parts. The congruence holds when every margin reaches the
+required exponent, fails when some margin falls short but none is
+negative, and is ill posed when the difference itself has a pole at a
+modulus factor. Working on the
 difference rather than on each side separately means a pole that
 cancels between the two sides does not poison the verdict; when both
 sides are individually admissible this reduces to the usual
@@ -29,7 +31,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .cyclotomic import CycloModulus, phi_valuation
-from .exact import ONE, Poly, QExpr, ZERO, _mk, _pseudo_divmod, _split
+from .exact import (ONE, Poly, QExpr, ZERO, _common, _mk, _pseudo_divmod,
+                    _split, _times)
 
 __all__ = [
     "CycloModulus",
@@ -147,12 +150,12 @@ class Verdict:
 
 
 def _parts(x):
-    # (num, den, shift) of a QExpr, Poly, int or Fraction; a plain side is
-    # taken as it stands, with no canonicalization and so no gcd
+    # (num, den, shift, exponent map) of a QExpr as it stands, unreduced,
+    # or of a plain Poly, int or Fraction side; no gcd is taken
     if isinstance(x, QExpr):
-        return x.num, x.den, x.shift
+        return x._num, x._den, x._shift, x._phis
     num, den = _split(x)
-    return num, _mk((den,)), 0
+    return num, _mk((den,)), 0, {}
 
 
 def check_congruence(lhs, rhs, modulus: CycloModulus) -> Verdict:
@@ -162,17 +165,23 @@ def check_congruence(lhs, rhs, modulus: CycloModulus) -> Verdict:
     modulus must be nonempty; a congruence mod 1 carries no content and a
     request for one is treated as a usage error.
 
-    With lhs = q^s1 * a/b and rhs = q^s2 * c/d, the difference is
-    q^s * N/E with s = min(s1, s2), N = a*d*q^(s1-s) - c*b*q^(s2-s) and
-    E = b*d, left unreduced (N = a*q^(s1-s) - c*q^(s2-s) and E = b when
-    b == d). E is never formed: its valuation is v_d(b) + v_d(d), with no
-    call for a constant. No gcd or division reduces N/E; each factor's
-    record comes from the margin, as FactorCheck says.
+    Each side is read as it stands, q^s1 * a/b * prod Phi_k^(e1_k) and
+    q^s2 * c/d * prod Phi_k^(e2_k). With m_k = min(e1_k, e2_k), the
+    difference is q^s * N/E * prod Phi_k^(m_k) with s = min(s1, s2),
+    N = a' d q^(s1-s) - c' b q^(s2-s) and E = b d, left unreduced, where
+    a' and c' are a and c times their cofactors prod Phi_k^(e_k - m_k)
+    (N = a' q^(s1-s) - c' q^(s2-s) and E = b when b == d). The margin at
+    k is v_k(N) + m_k - v_k(b) - v_k(d): E is never formed, no
+    valuation is taken of a constant or of a known Phi_k, and no gcd or
+    division reduces N/E; each factor's record comes from the margin, as
+    FactorCheck says.
     """
     if modulus.is_empty:
         raise ValueError("empty modulus")
-    a, b, s1 = _parts(lhs)
-    c, d, s2 = _parts(rhs)
+    a, b, s1, e1 = _parts(lhs)
+    c, d, s2, e2 = _parts(rhs)
+    low, xa, xc = _common(e1, e2)
+    a, c = _times(a, xa), _times(c, xc)
     s = min(s1, s2)
     if b == d:
         dens = (b,)
@@ -185,7 +194,8 @@ def check_congruence(lhs, rhs, modulus: CycloModulus) -> Verdict:
     pole = False
     short = False
     for k, e in modulus.factors:
-        m = phi_valuation(num, k) - sum(phi_valuation(p, k) for p in dens)
+        m = (phi_valuation(num, k) + low.get(k, 0)
+             - sum(phi_valuation(p, k) for p in dens))
         fc = FactorCheck(k, e, max(m, 0), max(-m, 0))
         checks.append(fc)
         if fc.margin < 0:
@@ -259,7 +269,9 @@ def reduce_mod(expr: QExpr, modulus: CycloModulus) -> CanonicalRep:
     """
     if modulus.is_empty:
         raise ValueError("empty modulus")
-    num, den, shift = _parts(expr)
+    if not isinstance(expr, QExpr):
+        expr = QExpr(expr)
+    num, den, shift = expr.num, expr.den, expr.shift
     m = modulus.poly()
     if shift > 0:
         num = num.shifted(shift)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import ONE, Poly, _kronecker_valuation, _mk
+from .exact import ONE, Poly, _mk, _phi_split
 
 
 def divisors(n: int) -> list[int]:
@@ -68,7 +68,7 @@ def mobius(n: int) -> int:
     return (-1) ** len(ps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def cyclotomic(n: int) -> Poly:
     """The n-th cyclotomic polynomial as a Poly.
 
@@ -105,21 +105,11 @@ def phi_valuation(p: Poly, d: int):
     exact._kronecker_valuation packs p and Phi_d at one power of two and
     divides p's integer by Phi_d's while the remainder is 0; it returns
     the count only under its size certificate. Otherwise exact polynomial
-    division by Phi_d, repeated, decides.
+    division by Phi_d, repeated, decides (exact._phi_split).
     """
     if not p:
         return math.inf
-    phi = cyclotomic(d)
-    vq = _kronecker_valuation(p.coeffs, phi.coeffs)
-    if vq is not None:
-        return vq[0]
-    v = 0
-    while True:
-        nxt = p.try_exact_div(phi)
-        if nxt is None:
-            return v
-        p = nxt
-        v += 1
+    return _phi_split(p, cyclotomic(d))[1]
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import struct
+from functools import lru_cache
 from fractions import Fraction
 
 # Operand lengths from which the Kronecker paths beat the schoolbook loops;
@@ -478,8 +479,8 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _heu_gcd(a: Poly, b: Poly):
-    """GCDHEU on primitive nonconstant inputs, up to sign; None when no
-    point tried gave a certified gcd.
+    """GCDHEU on primitive nonconstant inputs: (g, a/g, b/g) for their
+    gcd g, or None when no point tried gave a certified gcd.
 
     Char, Geddes and Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm
     based on integer GCD computation", J. Symbolic Comput. 7 (1989) 31-48,
@@ -489,7 +490,7 @@ def _heu_gcd(a: Poly, b: Poly):
     polynomial whose balanced base-xi digits are gcd(a(xi), b(xi)). If G
     divides both a and b, then G is their gcd. Here xi = 2^(8w), so the
     digits come from _unpack; the first w puts xi above that bound, and w
-    only grows.
+    only grows. The two divisions that certify G are the cofactors.
     """
     n = min(len(a), len(b))
     w = _width((2 * min(_norm(a._c), _norm(b._c)) + 1).bit_length())
@@ -499,35 +500,48 @@ def _heu_gcd(a: Poly, b: Poly):
         # more than n digits: G would outgrow a or b and divide neither
         if digits is not None:
             g = _mk(digits).primitive()
-            if len(g) == 1 or (a._div_core(g) is not None
-                               and b._div_core(g) is not None):
-                return g
+            if len(g) == 1:
+                return ONE, a, b
+            if g.leading < 0:
+                g = -g
+            qa = a._div_core(g)
+            qb = None if qa is None else b._div_core(g)
+            if qb is not None:
+                return g, qa, qb
         w = _width(8 * w)
     return None
 
 
-def gcd_rational(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd in Q[q], returned with positive leading coefficient.
+def gcd_rational(a: Poly, b: Poly, *, cofactors=None) -> Poly:
+    """Primitive gcd g in Q[q], returned with positive leading coefficient.
 
     Integer content of the inputs is ignored: gcd_rational(2*p, 4*p) is the
     primitive part of p. Tries the heuristic gcd GCDHEU first and falls
-    back to the primitive pseudo-remainder sequence.
+    back to the primitive pseudo-remainder sequence. A list passed as
+    cofactors receives a/g and b/g, exact in Z[q] since g is primitive;
+    where GCDHEU decides, they are the divisions that certified g, scaled
+    back by the contents, so nothing is divided twice.
 
     >>> gcd_rational(Poly([-1, 0, 1]), Poly([1, 2, 1]))
     Poly([1, 1])
     """
     if not a and not b:
         raise BothZeroError("gcd of two zero polynomials")
+    quotients = None
     if len(a) == 1 or len(b) == 1:
-        return ONE
-    a = a.primitive()
-    b = b.primitive()
-    if not a or not b:
-        g = a or b
+        g, quotients = ONE, (a, b)
     else:
-        g = _heu_gcd(a, b) or _prs_gcd(a, b)
-    if g.leading < 0:
-        g = -g
+        pa, pb = a.primitive(), b.primitive()
+        heu = _heu_gcd(pa, pb) if pa and pb else None
+        if heu is not None:
+            g, qa, qb = heu
+            quotients = (qa * a.content(), qb * b.content())
+        else:
+            g = _prs_gcd(pa, pb) if pa and pb else pa or pb
+            if g.leading < 0:
+                g = -g
+    if cofactors is not None:
+        cofactors += quotients or (a.exact_div(g), b.exact_div(g))
     return g
 
 
@@ -551,15 +565,97 @@ def _q_split(p: Poly):
     return (_mk(c[v:]) if v else p), v
 
 
-class QExpr:
-    """Reduced fraction q^shift * num / den with num and den in Z[q].
+@lru_cache(maxsize=1024)
+def _phi_power(factors: tuple) -> Poly:
+    """prod Phi_d^e over the sorted (d, e) pairs of factors, each e >= 1,
+    multiplied pairwise so that the operands of each product balance."""
+    # cyclotomic.py builds Phi_d with this module's arithmetic
+    from .cyclotomic import cyclotomic
+    out = [cyclotomic(d) ** e for d, e in factors] or [ONE]
+    while len(out) > 1:
+        out = [a * b for a, b in zip(out[::2], out[1::2])] + out[len(out) & ~1:]
+    return out[0]
 
-    Canonical invariants: num and den have nonzero constant terms (every
-    power of q, of either sign, lives in shift), den has a positive
-    leading coefficient, the primitive parts of num and den are coprime
-    in Q[q], and the integer contents of num and den are coprime, so a
-    rational constant like 3/8 is stored with content 3 upstairs and 8
-    downstairs. Zero is num 0, den 1, shift 0.
+
+def _phi_split(p: Poly, phi: Poly, most=math.inf):
+    """(p / phi^v, v) for the largest v <= most with phi^v | p, p nonzero.
+
+    _kronecker_valuation decides under its size certificate; otherwise
+    exact division by phi, repeated, does.
+    """
+    if len(p) < len(phi):
+        return p, 0
+    vq = _kronecker_valuation(p._c, phi._c, most)
+    if vq is not None:
+        return (_mk(vq[1]) if vq[0] else p), vq[0]
+    v = 0
+    while v < most:
+        nxt = p.try_exact_div(phi)
+        if nxt is None:
+            break
+        p, v = nxt, v + 1
+    return p, v
+
+
+def _phi_divides(p: Poly, d: int, phi: Poly) -> bool:
+    # Phi_d | q^d - 1, so Phi_d | p exactly when it divides p mod q^d - 1,
+    # the fold r_i = sum_j p_(i+jd): O(len p) adds, and no division of p
+    c = p._c
+    r = _mk([sum(c[i::d]) for i in range(d)])
+    return not r or r.try_exact_div(phi) is not None
+
+
+def _common(a: dict, b: dict):
+    """(m, xa, xb) for two exponent maps: m their per-d minimum, xa and xb
+    the sorted (d, e) pairs by which each exceeds it."""
+    m, xa, xb = {}, [], []
+    for d in sorted(a.keys() | b.keys()):
+        ea, eb = a.get(d, 0), b.get(d, 0)
+        low = min(ea, eb)
+        if low:
+            m[d] = low
+        if ea > low:
+            xa.append((d, ea - low))
+        if eb > low:
+            xb.append((d, eb - low))
+    return m, tuple(xa), tuple(xb)
+
+
+def _combined(a: dict, b: dict, sign: int = 1) -> dict:
+    # the exponent map of a * b (sign 1) or a / b (sign -1)
+    out = dict(a)
+    for d, e in b.items():
+        out[d] = out.get(d, 0) + sign * e
+    return {d: e for d, e in out.items() if e}
+
+
+def _times(p: Poly, factors: tuple) -> Poly:
+    # p * prod Phi_d^e over factors
+    return p * _phi_power(factors) if factors else p
+
+
+class QExpr:
+    """q^shift * num / den * prod_d Phi_d^e_d, num and den in Z[q], e_d != 0.
+
+    The exponent map holds the cyclotomic factors whose factorization is
+    known (qcombinatorics' factored builders put them there). A sum takes
+    the per-d minimum exponent and multiplies each num by its cofactor;
+    products and powers add exponents; nothing is divided. den is what
+    is left of a denominator passed in as a plain Poly: when num and den
+    are both nonconstant, gcd_rational reduces them, so their primitive
+    parts stay coprime. With a constant den, as every builder's is, no
+    gcd is taken.
+
+    The canonical form is built when the value is observed (==, hash,
+    str, repr, num, den, shift, evaluation), and kept: each Phi_d is
+    divided out of the side opposite its exponent as far as it goes, and
+    what is left is multiplied in, with no gcd. Its invariants: num and
+    den have nonzero constant terms (every power of q, of either sign,
+    lives in shift), den has a positive leading coefficient, the
+    primitive parts of num and den are coprime in Q[q], and the integer
+    contents of num and den are coprime, so a rational constant like 3/8
+    is stored with content 3 upstairs and 8 downstairs. Zero is num 0,
+    den 1, shift 0.
 
     >>> x = QExpr(Poly([0, 0, 2]), Poly([0, 8]))
     >>> print(x)
@@ -568,47 +664,31 @@ class QExpr:
     True
     """
 
-    __slots__ = ("_num", "_den", "_shift")
+    __slots__ = ("_num", "_den", "_shift", "_phis", "_canon")
 
     def __init__(self, num=0, den=1):
         pn, dn = _split(num)
         pd, dd = _split(den)
-        self._canonicalize(pn * dd, pd * dn, 0)
+        _reduced(pn * dd, pd * dn, 0, {}, self)
 
-    def _canonicalize(self, num: Poly, den: Poly, shift: int) -> "QExpr":
-        # Stores q^shift * num / den in canonical form and returns self.
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self._num, self._den, self._shift = ZERO, ONE, 0
-            return self
-        num, vn = _q_split(num)
-        den, vd = _q_split(den)
-        g = gcd_rational(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        t = math.gcd(num.content(), den.content())
-        if t > 1:
-            num = num.scaled_down(t)
-            den = den.scaled_down(t)
-        if den.leading < 0:
-            num = -num
-            den = -den
-        self._num, self._den, self._shift = num, den, shift + vn - vd
-        return self
+    def _observed(self) -> tuple:
+        # (num, den, shift) in canonical form, built once
+        if self._canon is None:
+            self._canon = _canonical(self._num, self._den, self._shift,
+                                     self._phis)
+        return self._canon
 
     @property
     def num(self) -> Poly:
-        return self._num
+        return self._observed()[0]
 
     @property
     def den(self) -> Poly:
-        return self._den
+        return self._observed()[1]
 
     @property
     def shift(self) -> int:
-        return self._shift
+        return self._observed()[2]
 
     def __bool__(self):
         return bool(self._num)
@@ -617,18 +697,17 @@ class QExpr:
         """Multiply by q**k, for any sign of k; q is a unit, so no gcd."""
         if not k or not self._num:
             return self
-        return _qexpr(self._num, self._den, self._shift + k)
+        return _qexpr(self._num, self._den, self._shift + k, self._phis)
 
     def __eq__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return (self._num == o._num and self._den == o._den
-                and self._shift == o._shift)
+        return self._observed() == o._observed()
 
     def __hash__(self):
         # as the equal int, Fraction or Poly hashes, when there is one
-        num, den, shift = self._num, self._den, self._shift
+        num, den, shift = self._observed()
         if len(num) <= 1 and len(den) == 1 and not shift:
             return hash(Fraction(num[0], den[0]))
         if den == ONE and shift >= 0:
@@ -636,7 +715,7 @@ class QExpr:
         return hash((num, den, shift))
 
     def __neg__(self):
-        return _qexpr(-self._num, self._den, self._shift)
+        return _qexpr(-self._num, self._den, self._shift, self._phis)
 
     def _coerced(self, other):
         if isinstance(other, QExpr):
@@ -651,9 +730,22 @@ class QExpr:
         if not self._num:
             return o
         s = min(self._shift, o._shift)
-        a = (self._num * o._den).shifted(self._shift - s)
-        b = (o._num * self._den).shifted(o._shift - s)
-        return _canonical(a + b, self._den * o._den, s)
+        m, xa, xb = _common(self._phis, o._phis)
+        a, b = _times(self._num, xa), _times(o._num, xb)
+        da, db = self._den, o._den
+        if len(da) == 1 and len(db) == 1:
+            # constant dens: over their lcm, by integer scalings
+            x, y = da[0], db[0]
+            g = math.gcd(x, y)
+            if y != g:
+                a = a * (y // g)
+            if x != g:
+                b = b * (x // g)
+            den = _mk((x // g * y,))
+        else:
+            a, b, den = a * db, b * da, da * db
+        num = a.shifted(self._shift - s) + b.shifted(o._shift - s)
+        return _reduced(num, den, s, m)
 
     def __add__(self, other):
         o = self._coerced(other)
@@ -676,8 +768,8 @@ class QExpr:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return _canonical(self._num * o._num, self._den * o._den,
-                          self._shift + o._shift)
+        return _reduced(self._num * o._num, self._den * o._den,
+                        self._shift + o._shift, _combined(self._phis, o._phis))
 
     __rmul__ = __mul__
 
@@ -687,8 +779,9 @@ class QExpr:
             return NotImplemented
         if not o._num:
             raise ZeroDivisionError("division by zero QExpr")
-        return _canonical(self._num * o._den, self._den * o._num,
-                          self._shift - o._shift)
+        return _reduced(self._num * o._den, self._den * o._num,
+                        self._shift - o._shift,
+                        _combined(self._phis, o._phis, -1))
 
     def __rtruediv__(self, other):
         o = self._coerced(other)
@@ -699,43 +792,96 @@ class QExpr:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise ValueError("exponent must be an integer")
-        if n < 0:
-            return (QExpr(1) / self) ** (-n)
-        # powers of coprime parts stay coprime: no canonicalization needed
-        return _qexpr(self._num ** n, self._den ** n, self._shift * n)
+        if not n:
+            return QExpr(1)
+        if not self._num:
+            if n < 0:
+                raise ZeroDivisionError("division by zero QExpr")
+            return self
+        num, den = (self._num, self._den) if n > 0 else (self._den, self._num)
+        k = abs(n)
+        # powers of coprime parts stay coprime: no gcd needed
+        return _qexpr(num ** k, den ** k, self._shift * n,
+                      {d: e * n for d, e in self._phis.items()})
 
     def __call__(self, x) -> Fraction:
+        num, den, shift = self._observed()
         x = Fraction(x)
-        dv = self._den(x)
-        if dv == 0 or (x == 0 and self._shift < 0):
+        dv = den(x)
+        if dv == 0 or (x == 0 and shift < 0):
             raise ZeroDivisionError(f"pole at q = {x}")
-        return self._num(x) * x ** self._shift / dv
+        return num(x) * x ** shift / dv
 
     def __str__(self):
-        n = str(self._num)
-        if self._shift:
-            power = "q" if self._shift == 1 else f"q^{self._shift}"
-            n = power if self._num == ONE else f"{power}*({n})"
-        if self._den == ONE:
+        num, den, shift = self._observed()
+        n = str(num)
+        if shift:
+            power = "q" if shift == 1 else f"q^{shift}"
+            n = power if num == ONE else f"{power}*({n})"
+        if den == ONE:
             return n
-        d = str(self._den)
-        if len(self._den) > 1:
+        d = str(den)
+        if len(den) > 1:
             d = f"({d})"
         if " " in n:
             n = f"({n})"
         return f"{n}/{d}"
 
     def __repr__(self):
-        r = f"QExpr({self._num!r}, {self._den!r})"
-        return f"{r}.shifted({self._shift})" if self._shift else r
+        num, den, shift = self._observed()
+        r = f"QExpr({num!r}, {den!r})"
+        return f"{r}.shifted({shift})" if shift else r
 
 
-def _qexpr(num: Poly, den: Poly, shift: int) -> QExpr:
-    # Trusted constructor for parts that are already canonical.
-    out = object.__new__(QExpr)
-    out._num, out._den, out._shift = num, den, shift
+def _qexpr(num, den, shift, phis, out=None) -> QExpr:
+    # Trusted constructor, into out or a new QExpr: num is zero, or its
+    # primitive part is coprime to den's.
+    if out is None:
+        out = object.__new__(QExpr)
+    out._num, out._den, out._shift, out._phis = num, den, shift, phis
+    out._canon = None
     return out
 
 
-def _canonical(num: Poly, den: Poly, shift: int) -> QExpr:
-    return object.__new__(QExpr)._canonicalize(num, den, shift)
+def _reduced(num, den, shift, phis, out=None) -> QExpr:
+    # _qexpr after reducing num against den, when both are nonconstant
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        num, den, shift, phis = ZERO, ONE, 0, {}
+    elif len(num) > 1 and len(den) > 1:
+        parts = []
+        gcd_rational(num, den, cofactors=parts)
+        num, den = parts
+    return _qexpr(num, den, shift, phis, out)
+
+
+def _canonical(num: Poly, den: Poly, shift: int, phis: dict) -> tuple:
+    # The canonical (num, den, shift) of q^shift * num / den * prod
+    # Phi_d^e, for num and den with coprime primitive parts.
+    if not num:
+        return ZERO, ONE, 0
+    up, down = [], []
+    for d, e in sorted(phis.items()):
+        phi = _phi_power(((d, 1),))
+        if e < 0:
+            if _phi_divides(num, d, phi):
+                num, v = _phi_split(num, phi, -e)
+                e += v
+        elif _phi_divides(den, d, phi):
+            den, v = _phi_split(den, phi, e)
+            e -= v
+        if e > 0:
+            up.append((d, e))
+        elif e < 0:
+            down.append((d, -e))
+    num, vn = _q_split(_times(num, tuple(up)))
+    den, vd = _q_split(_times(den, tuple(down)))
+    t = math.gcd(num.content(), den.content())
+    if t > 1:
+        num = num.scaled_down(t)
+        den = den.scaled_down(t)
+    if den.leading < 0:
+        num = -num
+        den = -den
+    return num, den, shift + vn - vd

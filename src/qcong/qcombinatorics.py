@@ -10,10 +10,13 @@ add is formed per term. The first three step by ratios of factors
 1 - q^m (_times_ratio) and are read under a q = 1 certificate (_read).
 frac_sum, which the q-harmonic sums go through, adds its terms over
 their known common denominator, a product of cyclotomic polynomials, and
-reduces the sum once. The Fermat quotient's Pochhammer ratio is a
-product of shift-adds. The heavily reused constructors are memoized
-since statement verification calls them across overlapping parameter
-grids.
+keeps that denominator factored. The Fermat quotient's Pochhammer ratio
+is a product of shift-adds. qint, one_minus_qpow and qbinom give [n],
+1 - q^m and [n, k] as products of cyclotomic polynomials, factored, for
+use in denominators and products, where QExpr then takes no gcd. The
+heavily reused constructors are memoized, with bounds above what every
+default grid uses, since statement verification calls them across
+overlapping parameter grids.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ import math
 from functools import lru_cache
 
 from .cyclotomic import cyclotomic, divisors
-from .exact import ONE, Poly, QExpr, ZERO, _mk, _pack, _unpack, _width
+from .exact import ONE, Poly, QExpr, ZERO, _mk, _pack, _qexpr, _unpack, _width
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def q_integer(n: int) -> Poly:
     """[n] = 1 + q + ... + q^(n-1); [0] = 0."""
     if n < 0:
@@ -33,7 +36,46 @@ def q_integer(n: int) -> Poly:
     return Poly((1,) * n)
 
 
-@lru_cache(maxsize=None)
+def _factored(sign: int, ds) -> QExpr:
+    # sign * prod Phi_d over ds, carried as an exponent map
+    return _qexpr(_mk((sign,)), ONE, 0, dict.fromkeys(ds, 1))
+
+
+def qint(n: int) -> QExpr:
+    """[n] = prod_(d | n, d > 1) Phi_d, factored; [0] = 0.
+
+    >>> qint(6) == q_integer(6)
+    True
+    """
+    if n < 0:
+        raise ValueError("qint needs n >= 0")
+    return _factored(1, divisors(n)[1:]) if n else QExpr(0)
+
+
+def one_minus_qpow(m: int) -> QExpr:
+    """1 - q^m = -prod_(d | m) Phi_d, factored."""
+    if m < 1:
+        raise ValueError("one_minus_qpow needs m >= 1")
+    return _factored(-1, divisors(m))
+
+
+def qbinom(n: int, k: int) -> QExpr:
+    """[n, k], factored; 0 outside 0 <= k <= n.
+
+    [n, k] = prod_(d <= n) Phi_d^e_d with
+    e_d = floor(n/d) - floor(k/d) - floor((n-k)/d), which is 0 or 1,
+    since each Phi_d, d > 1, divides [m]! exactly floor(m/d) times.
+
+    >>> qbinom(4, 2) == q_binomial(4, 2)
+    True
+    """
+    if k < 0 or k > n:
+        return QExpr(0)
+    return _factored(1, [d for d in range(2, n + 1)
+                         if n // d - k // d - (n - k) // d])
+
+
+@lru_cache(maxsize=256)
 def q_pochhammer(base_exp: int, count: int) -> Poly:
     """prod_{j=1}^{count} (1 - q^(base_exp * j)); empty product is 1.
 
@@ -50,7 +92,7 @@ def q_pochhammer(base_exp: int, count: int) -> Poly:
     return prev - prev.shifted(m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def q_binomial(n: int, k: int) -> Poly:
     """Gaussian binomial coefficient; 0 outside 0 <= k <= n.
 
@@ -224,21 +266,21 @@ def apery_sum(n: int, r: int) -> Poly:
     return _read(acc, top + 1, w, total, f"apery sum at n={n}, r={r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def q_fermat_quotient(m: int, n: int) -> QExpr:
     """((q^m;q^m)_{n-1} / (q;q)_{n-1} - 1) / [n].
 
     At q = 1 this degenerates to the classical Fermat quotient
     (m^(n-1) - 1)/n. The inner quotient is the polynomial
     prod_{j<n} (1 + q^j + ... + q^((m-1)j)), built by shift-adds, so only
-    the final division by [n] is a fraction.
+    the final division by [n] is a fraction, kept factored.
     """
     if m < 1 or n < 1:
         raise ValueError("q_fermat_quotient needs m >= 1 and n >= 1")
     ratio = ONE
     for j in range(1, n):
         ratio = sum((ratio.shifted(i * j) for i in range(m)), ZERO)
-    return QExpr(ratio - 1, q_integer(n))
+    return _qexpr(ratio - 1, ONE, 0, dict.fromkeys(divisors(n)[1:], -1))
 
 
 def frac_sum(terms) -> QExpr:
@@ -249,7 +291,9 @@ def frac_sum(terms) -> QExpr:
     Q_m = L / (1 - q^m). L is packed once at B = 2^W, each distinct m
     takes one checked stride division for Q_m(B), every term adds its
     packed c times Q_m(B) to one integer, and the numerator's digits are
-    read once. The sum is canonicalized once.
+    read once. The sum keeps L factored, as the exponent map
+    {d: -1 for d in D}: no gcd is taken, and it is reduced only when
+    observed.
 
     >>> frac_sum([(1, 1), (Poly([1, 1]), 2)]) == QExpr(2, Poly([1, -1]))
     True
@@ -297,7 +341,7 @@ def frac_sum(terms) -> QExpr:
     coeffs = _unpack(acc, size, w)
     if coeffs is None or sum(coeffs) != want:
         raise ArithmeticError(f"sum of c/(1 - q^m) overflowed {w}-byte slots")
-    return QExpr(_mk(coeffs), den)
+    return _qexpr(_mk(coeffs), ONE, 0, dict.fromkeys(ds, -1))
 
 
 def q_harmonic(kind: str, bound: int) -> QExpr:

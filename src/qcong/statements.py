@@ -20,6 +20,13 @@ integer; the Apery-type left sides of guguo and gsz_03 come from
 apery_sum, stepped the same way; sums of c/(1 - q^m) add their terms on
 one packed integer over the known common denominator, a product of
 cyclotomic polynomials (frac_sum).
+
+Every denominator is built factored: frac_sum's common denominator, the
+1/[n] of the q-Fermat quotient, and the [n] (qint), 1 - q^m
+(one_minus_qpow) and [n, k] (qbinom) that divide or multiply a fraction
+carry their cyclotomic factors as QExpr exponent maps. No builder takes
+a gcd; a value is reduced only when it is observed, and
+check_congruence reads the margins from the unreduced difference.
 """
 
 from __future__ import annotations
@@ -39,10 +46,13 @@ from .qcombinatorics import (
     apery_sum,
     fk_sums,
     frac_sum,
+    one_minus_qpow,
     q_binomial,
     q_fermat_quotient,
     q_harmonic,
     q_integer,
+    qbinom,
+    qint,
 )
 
 
@@ -89,10 +99,6 @@ def evaluate_built(built) -> Verdict:
 # ---------------------------------------------------------------------------
 # small builders shared by several statements
 
-def _one_minus_qpow(k: int) -> Poly:
-    return ONE - Poly.monomial(k)
-
-
 def _phi(n: int, e: int = 1) -> CycloModulus:
     return CycloModulus.phi(n, e)
 
@@ -111,7 +117,7 @@ def _even_recip_sum(bound: int) -> QExpr:
 
 
 def _fermat_over_1mq(n: int) -> QExpr:
-    return q_fermat_quotient(2, n) / QExpr(Poly([1, -1]))
+    return q_fermat_quotient(2, n) / one_minus_qpow(1)
 
 
 def m_star(n: int, alpha: int) -> int:
@@ -170,9 +176,9 @@ def _a10_rhs(n: int, alpha: int) -> QExpr:
     qn, qa = q_integer(n), q_integer(alpha)
     return (
         2 * QExpr(qn * Poly([1, -1]))
-        + QExpr(qn * (2 * Poly.monomial(alpha) - ONE) - qa, qa)
-        - 2 * QExpr(qn) * q_fermat_quotient(2, n)
-        - 2 * QExpr(qn) * q_harmonic("alternating", alpha)
+        + QExpr(qn * (2 * Poly.monomial(alpha) - ONE) - qa) / qint(alpha)
+        - 2 * qint(n) * q_fermat_quotient(2, n)
+        - 2 * qint(n) * q_harmonic("alternating", alpha)
     )
 
 
@@ -181,7 +187,7 @@ def _b7_rhs(n: int, alpha: int) -> QExpr:
     qn, qa = q_integer(n), q_integer(alpha)
     return (
         QExpr(qa - qn).shifted(-alpha)
-        + 2 * QExpr(qa * qn).shifted(-alpha)
+        + 2 * (qint(alpha) * qint(n)).shifted(-alpha)
         * (q_fermat_quotient(2, n) + q_harmonic("alternating_q", alpha))
     )
 
@@ -190,7 +196,7 @@ def _build_t1(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(fk_sums(n, a)[0])
     # k = 0 term (step_a11_a12) plus the k >= 1 tail (step_a10)
-    rhs = _a10_rhs(n, a) + QExpr(q_integer(n), q_integer(a))
+    rhs = _a10_rhs(n, a) + qint(n) / qint(a)
     return QCongruence(lhs, rhs, _phi(n, 2))
 
 
@@ -235,9 +241,9 @@ def _build_cor1b(p, variant):
 
 def _build_pan1(p, variant):
     pp = p["p"]
-    one_minus_q = QExpr(Poly([1, -1]))
+    one_minus_q = one_minus_qpow(1)
     qp = q_fermat_quotient(2, pp)
-    np = QExpr(q_integer(pp))
+    np = qint(pp)
     lhs = 2 * q_harmonic("plain_even", (pp - 1) // 2) + 2 * qp - qp ** 2 * np
     rhs = (qp * one_minus_q + Fraction(pp * pp - 1, 8) * one_minus_q ** 2) * np
     return QCongruence(lhs, rhs, _phi(pp, 2))
@@ -245,8 +251,8 @@ def _build_pan1(p, variant):
 
 def _build_pan2(p, variant):
     pp = p["p"]
-    one_minus_q = QExpr(Poly([1, -1]))
-    np = QExpr(q_integer(pp))
+    one_minus_q = one_minus_qpow(1)
+    np = qint(pp)
     alt = q_harmonic("alternating", pp - 1)
     # the corrected variant drops the stray factor 2 on the left
     lhs = 2 * alt if variant == "as_printed" else alt
@@ -311,9 +317,9 @@ def _build_a4(p, variant):
     n, a, k = p["n"], p["alpha"], p["k"]
     lhs = QExpr(q_binomial(a + n - 1, a + k))
     rhs = (
-        QExpr(_one_minus_qpow(n))
+        one_minus_qpow(n)
         * QExpr((-1) ** k).shifted(-math.comb(k + 1, 2))
-        / (QExpr(_one_minus_qpow(a + k)) * QExpr(q_binomial(a + k - 1, k)))
+        / (one_minus_qpow(a + k) * qbinom(a + k - 1, k))
     )
     return QCongruence(lhs, rhs, _phi(n, 2))
 
@@ -328,7 +334,7 @@ def _build_a5(p, variant):
     n, a = p["n"], p["alpha"]
     tail = fk_sums(n, a)[0] - q_binomial(a + n - 1, n - 1)
     lhs = QExpr(tail - _a_corner(n, a))
-    rhs = QExpr(_one_minus_qpow(n)) * _alt_frac_sum(n - 1, a, q_weight=False) + 1
+    rhs = one_minus_qpow(n) * _alt_frac_sum(n - 1, a, q_weight=False) + 1
     return QCongruence(lhs, rhs, _phi(n, 2))
 
 
@@ -340,7 +346,7 @@ def _build_a6(p, variant):
         QExpr(q_binomial(n - 1, n - a))
         * ((-1) ** (a - 1))
         * QExpr(1).shifted(math.comb(a, 2))
-        * (1 + QExpr(_one_minus_qpow(n)) * ratio_sum)
+        * (1 + one_minus_qpow(n) * ratio_sum)
     )
     return QCongruence(lhs, rhs, _phi(n, 2))
 
@@ -352,7 +358,7 @@ def _build_a7(p, variant):
     if variant == "as_printed":
         inner = 1 - recip_sum
     else:
-        inner = 1 - QExpr(_one_minus_qpow(n)) * recip_sum
+        inner = 1 - one_minus_qpow(n) * recip_sum
     rhs = QExpr((-1) ** (a - 1)).shifted(-math.comb(a, 2)) * inner
     return QCongruence(lhs, rhs, _phi(n, 2))
 
@@ -361,7 +367,7 @@ def _build_a8(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(q_binomial(n - 1, a - 1) * q_binomial(n + a - 1, a - 1))
     rhs = QExpr(1).shifted(-math.comb(a, 2)) * (
-        QExpr((a - 1) * _one_minus_qpow(n)) - 1
+        (a - 1) * one_minus_qpow(n) - 1
     )
     return QCongruence(lhs, rhs, _phi(n, 2))
 
@@ -369,14 +375,14 @@ def _build_a8(p, variant):
 def _build_a9_0(p, variant):
     t, n = p["t"], p["n"]
     lhs = QExpr(1).shifted(t * n)
-    rhs = 1 - t * QExpr(_one_minus_qpow(n))
+    rhs = 1 - t * one_minus_qpow(n)
     return QCongruence(lhs, rhs, _phi(n, 2))
 
 
 def _build_a9(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(1).shifted(n * (n - 2 * a + 1) // 2)
-    rhs = 1 + Fraction(2 * a - n - 1, 2) * QExpr(_one_minus_qpow(n))
+    rhs = 1 + Fraction(2 * a - n - 1, 2) * one_minus_qpow(n)
     return QCongruence(lhs, rhs, _phi(n, 2))
 
 
@@ -389,7 +395,7 @@ def _build_a10(p, variant):
 def _build_a11_a12(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(q_binomial(a + n - 1, n - 1))
-    rhs = QExpr(q_integer(n), q_integer(a))
+    rhs = qint(n) / qint(a)
     return QCongruence(lhs, rhs, _phi(n, 2))
 
 
@@ -416,7 +422,7 @@ def _build_b2(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(fk_sums(n, a)[1] - _b_corner(n, a))
     tail = frac_sum(((-1) ** k * q_integer(k), k + a) for k in range(1, n))
-    rhs = QExpr(_one_minus_qpow(n)) * tail + QExpr(q_integer(n - a))
+    rhs = one_minus_qpow(n) * tail + QExpr(q_integer(n - a))
     return QCongruence(lhs, rhs, _phi(n, 2))
 
 
@@ -437,20 +443,18 @@ def _build_b4(p, variant):
         [(-2 * (-1) ** k * one_minus_q.shifted(k), k) for k in range(1, a + 1)]
         + [(-one_minus_q.shifted(n), n), (one_minus_q.shifted(a), a)])
     inner = (
-        Fraction(1 - n, 2) * QExpr(one_minus_q)
+        Fraction(1 - n, 2) * one_minus_qpow(1)
         - 2 * q_fermat_quotient(2, n)
         + recips
     )
-    rhs = inner.shifted(-a) / QExpr(one_minus_q)
+    rhs = inner.shifted(-a) / one_minus_qpow(1)
     return QCongruence(lhs, rhs, _phi(n))
 
 
 def _build_b5(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(1).shifted(n * (n - 2 * a + 1) // 2 - a)
-    rhs = QExpr(1).shifted(-a) + Fraction(2 * a - n - 1, 2) * QExpr(
-        _one_minus_qpow(n)
-    ).shifted(-a)
+    rhs = (1 + Fraction(2 * a - n - 1, 2) * one_minus_qpow(n)).shifted(-a)
     return QCongruence(lhs, rhs, _phi(n, 2))
 
 
@@ -460,10 +464,10 @@ def _build_b6(p, variant):
     qn, qa = q_integer(n), q_integer(a)
     core = qa - (a - 1) * (qa * qn * Poly([1, -1])) - qn
     if variant == "as_printed":
-        bracket = QExpr(ONE + (2 * a - n - 1) * _one_minus_qpow(n))
+        bracket = 1 + (2 * a - n - 1) * one_minus_qpow(n)
     else:
         # reinstates the halved coefficient used by the q-power expansion
-        bracket = QExpr(Poly([2]) + (2 * a - n - 1) * _one_minus_qpow(n), 2)
+        bracket = (2 + (2 * a - n - 1) * one_minus_qpow(n)) / 2
     rhs = bracket * QExpr(core).shifted(-a)
     return QCongruence(lhs, rhs, _phi(n, 2))
 

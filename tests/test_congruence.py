@@ -360,9 +360,9 @@ def test_check_congruence_matches_the_canonical_difference():
 def test_check_congruence_takes_no_gcd(monkeypatch):
     calls = []
 
-    def counting_gcd(a, b):
+    def counting_gcd(a, b, **kwargs):
         calls.append((a, b))
-        return gcd_rational(a, b)
+        return gcd_rational(a, b, **kwargs)
 
     monkeypatch.setattr(exact, "gcd_rational", counting_gcd)
     m = factor_q_integer(6).raised_at(3)

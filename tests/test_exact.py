@@ -1,8 +1,11 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from qcong.congruence import check_congruence
+from qcong.cyclotomic import factor_q_integer
 from qcong.exact import (
     Poly,
     QExpr,
@@ -12,6 +15,10 @@ from qcong.exact import (
     gcd_rational,
     NotDivisibleError,
     BothZeroError,
+)
+from qcong.qcombinatorics import (
+    frac_sum, one_minus_qpow, q_binomial, q_fermat_quotient, q_integer,
+    q_pochhammer, qbinom, qint,
 )
 
 
@@ -262,3 +269,72 @@ def test_qexpr_field_axioms_random():
         assert (a - b) + b == a
         if b:
             assert (a / b) * b == a
+
+
+def _leaf(rng):
+    # one value twice: factored, and built from plain Polys, whose sums,
+    # products and quotients take the gcd path
+    kind = rng.randrange(6)
+    if kind == 0:
+        n = rng.randint(0, 12)
+        return qint(n), QExpr(q_integer(n))
+    if kind == 1:
+        m = rng.randint(1, 12)
+        return one_minus_qpow(m), QExpr(ONE - Poly.monomial(m))
+    if kind == 2:
+        n = rng.randint(0, 10)
+        k = rng.randint(-1, n + 1)
+        return qbinom(n, k), QExpr(q_binomial(n, k))
+    if kind == 3:
+        terms = [(rng.randint(-3, 3), rng.randint(1, 8))
+                 for _ in range(rng.randint(1, 4))]
+        plain = sum((QExpr(c, ONE - Poly.monomial(m)) for c, m in terms),
+                    QExpr(0))
+        return frac_sum(terms), plain
+    if kind == 4:
+        m, n = rng.randint(1, 3), rng.randint(1, 7)
+        ratio = q_pochhammer(m, n - 1).exact_div(q_pochhammer(1, n - 1))
+        return q_fermat_quotient(m, n), QExpr(ratio - 1, q_integer(n))
+    num = Poly([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
+    den = Poly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] + [1])
+    k = rng.randint(-2, 2)
+    return QExpr(num, den).shifted(k), QExpr(num, den).shifted(k)
+
+
+def _expression(rng, depth):
+    # the same random expression over factored and over plain leaves
+    if not depth or rng.random() < 0.3:
+        return _leaf(rng)
+    (a, b), (c, d) = _expression(rng, depth - 1), _expression(rng, depth - 1)
+    op = rng.choice("+-*/^s")
+    if op == "^":
+        k = rng.randint(-2 if a else 0, 3)
+        return a ** k, b ** k
+    if op == "s":
+        k = rng.randint(-3, 3)
+        return a.shifted(k), b.shifted(k)
+    if op == "/" and not c:
+        op = "*"
+    f = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+         "/": operator.truediv}[op]
+    return f(a, c), f(b, d)
+
+
+def _evaluated(x, at):
+    try:
+        return x(at)
+    except ZeroDivisionError:
+        return "pole"
+
+
+def test_factored_values_observe_as_the_gcd_path_does():
+    rng = random.Random(1717)
+    for _ in range(300):
+        (x, y), (u, v) = _expression(rng, 3), _expression(rng, 2)
+        # decided before either side is observed
+        m = factor_q_integer(rng.randint(2, 12)).raised_at(rng.randint(1, 8))
+        assert check_congruence(x, u, m) == check_congruence(y, v, m)
+        assert str(x) == str(y) and repr(x) == repr(y)
+        assert (x.num, x.den, x.shift) == (y.num, y.den, y.shift)
+        assert x == y and hash(x) == hash(y) and u == v
+        assert _evaluated(x, Fraction(1, 2)) == _evaluated(y, Fraction(1, 2))

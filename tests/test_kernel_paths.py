@@ -209,12 +209,16 @@ def test_gcd_matches_prs():
         if want.leading < 0:
             want = -want
         assert gcd_rational(a, b) == want
-        assert gcd_rational(b, a) == want
+        cofactors = []
+        assert gcd_rational(b, a, cofactors=cofactors) == want
+        assert [want * c for c in cofactors] == [b, a]
         if a.degree > 0 and b.degree > 0:
-            heu = ex._heu_gcd(a.primitive(), b.primitive())
-            assert heu is None or heu in (want, -want)
+            pa, pb = a.primitive(), b.primitive()
+            heu = ex._heu_gcd(pa, pb)
+            assert heu is None or (heu[0] == want and heu[0] * heu[1] == pa
+                                   and heu[0] * heu[2] == pb)
     # b vanishes at the first point, 2^8, so only a wider one decides
-    assert ex._heu_gcd(Poly([0, 1]), Poly([-256, 1])) == ONE
+    assert ex._heu_gcd(Poly([0, 1]), Poly([-256, 1]))[0] == ONE
 
 
 def test_gcd_falls_back_to_prs(monkeypatch):

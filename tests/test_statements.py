@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from qcong.congruence import Status
-from qcong.cyclotomic import CycloModulus
+from qcong import exact
+from qcong.congruence import Status, check_congruence
+from qcong.cyclotomic import CycloModulus, cyclotomic
 from qcong.exact import ONE, Poly, QExpr
-from qcong.qcombinatorics import fk_sums, q_binomial, q_fermat_quotient, q_integer
+from qcong.qcombinatorics import (
+    fk_sums, q_binomial, q_fermat_quotient, q_integer, q_pochhammer,
+)
 from qcong.statements import (
     REGISTRY,
     HypothesisViolation,
@@ -327,3 +330,51 @@ def test_int_congruence_ill_posed_when_denominator_shares_factor():
 
     built = IntCongruence(Fraction(1, 3), Fraction(0), 9)
     assert evaluate_built(built).status is Status.ILL_POSED
+
+
+def _default_cells():
+    # every default cell of every statement, in each of its variants
+    return [(tag, variant, params) for tag, stmt in REGISTRY.items()
+            for variant in stmt.variants for params in stmt.default_grid()]
+
+
+def _as_observed(x):
+    # the same value rebuilt from its canonical form, with nothing factored
+    return QExpr(x.num, x.den).shifted(x.shift)
+
+
+def test_every_q_cell_decides_alike_as_built_and_as_observed():
+    # sides as built, with their cyclotomic factors carried as exponent
+    # maps, against the same sides observed first, reduced to canonical
+    # form, and decided through the reduced fractions
+    cells = 0
+    for tag, variant, params in _default_cells():
+        built = REGISTRY[tag].build(params, variant)
+        if not isinstance(built, QCongruence):
+            continue
+        as_built = check_congruence(built.lhs, built.rhs, built.modulus)
+        observed = check_congruence(_as_observed(built.lhs),
+                                    _as_observed(built.rhs), built.modulus)
+        assert as_built == observed, (tag, variant, params)
+        cells += 1
+    assert cells == 963
+
+
+def test_default_sweep_takes_no_gcd_and_evicts_from_no_cache(monkeypatch):
+    # the builders' denominators are all factored or constant, so no sum,
+    # product or quotient has a nonconstant den to reduce; and no cache is
+    # ever full, so none evicts
+    def no_gcd(*args, **kwargs):
+        raise AssertionError("gcd_rational called")
+
+    caches = [q_integer, q_pochhammer, q_binomial, q_fermat_quotient,
+              cyclotomic, exact._phi_power]
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(exact, "gcd_rational", no_gcd)
+    records = [run_cell(*cell) for cell in _default_cells()]
+    assert len(records) == 1615
+    assert not any(r.hypothesis_error for r in records)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize < info.maxsize, (cache, info)

@@ -2,20 +2,20 @@
 cyclotomic powers, and between rational numbers modulo integers.
 
 Semantics: to check lhs = rhs mod prod Phi_d^e, form the difference
-D = q^s * N/E * prod Phi_d^(m_d), unreduced, where m holds the
-cyclotomic factors that both sides carry factored, and compare Phi_d-adic
-valuations per factor. The margin at d is val_d(N) + m_d - val_d(E). It
-is the margin of the reduced difference: a factor common to N and E
-cancels in it, and the monic, primitive Phi_d divides neither q nor a
-nonzero integer. val_num and val_den are the margin's positive and
-negative parts. The congruence holds when every margin reaches the
-required exponent, fails when some margin falls short but none is
-negative, and is ill posed when the difference itself has a pole at a
-modulus factor. Working on the
-difference rather than on each side separately means a pole that
-cancels between the two sides does not poison the verdict; when both
-sides are individually admissible this reduces to the usual
-divisibility definition.
+D = q^s * N/E * prod Phi_d^(m_d), unreduced, by the rule every QExpr
+sum follows (exact._unreduced_sum), where m holds the cyclotomic factors
+that both sides carry factored, and compare Phi_d-adic valuations per
+factor. The margin at d is val_d(N) + m_d - val_d(E). It is the margin
+of the reduced difference: a factor common to N and E cancels in it, and
+the monic, primitive Phi_d divides neither q nor a nonzero integer.
+val_num and val_den are the margin's positive and negative parts. The
+congruence holds when every margin reaches the required exponent, fails
+when some margin falls short but none is negative, and is ill posed when
+the difference itself has a pole at a modulus factor. Working on the
+difference rather than on each side separately means a pole that cancels
+between the two sides does not poison the verdict; when both sides are
+individually admissible this reduces to the usual divisibility
+definition.
 
 reduce_mod writes a residue modulo M = prod Phi_d^e in its canonical form
 of degree below deg(M). It inverts the denominator with the integer
@@ -26,13 +26,12 @@ both on the Z[q] kernel's one long-division loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .cyclotomic import CycloModulus, phi_valuation
-from .exact import (ONE, Poly, QExpr, ZERO, _common, _mk, _pseudo_divmod,
-                    _split, _times)
+from .exact import ONE, Poly, QExpr, ZERO, _pseudo_divmod, _unreduced_sum
 
 __all__ = [
     "CycloModulus",
@@ -149,15 +148,6 @@ class Verdict:
         return "; ".join(bits)
 
 
-def _parts(x):
-    # (num, den, shift, exponent map) of a QExpr as it stands, unreduced,
-    # or of a plain Poly, int or Fraction side; no gcd is taken
-    if isinstance(x, QExpr):
-        return x._num, x._den, x._shift, x._phis
-    num, den = _split(x)
-    return num, _mk((den,)), 0, {}
-
-
 def check_congruence(lhs, rhs, modulus: CycloModulus) -> Verdict:
     """Verdict for lhs = rhs modulo the cyclotomic modulus.
 
@@ -165,37 +155,26 @@ def check_congruence(lhs, rhs, modulus: CycloModulus) -> Verdict:
     modulus must be nonempty; a congruence mod 1 carries no content and a
     request for one is treated as a usage error.
 
-    Each side is read as it stands, q^s1 * a/b * prod Phi_k^(e1_k) and
-    q^s2 * c/d * prod Phi_k^(e2_k). With m_k = min(e1_k, e2_k), the
-    difference is q^s * N/E * prod Phi_k^(m_k) with s = min(s1, s2),
-    N = a' d q^(s1-s) - c' b q^(s2-s) and E = b d, left unreduced, where
-    a' and c' are a and c times their cofactors prod Phi_k^(e_k - m_k)
-    (N = a' q^(s1-s) - c' q^(s2-s) and E = b when b == d). The margin at
-    k is v_k(N) + m_k - v_k(b) - v_k(d): E is never formed, no
-    valuation is taken of a constant or of a known Phi_k, and no gcd or
-    division reduces N/E; each factor's record comes from the margin, as
-    FactorCheck says.
+    Each side is read as it stands, with no gcd: exact._unreduced_sum,
+    the rule QExpr sums follow, forms lhs + (-rhs) as
+    q^s * N/E * prod Phi_k^(m_k), where m_k is the smaller of the two
+    sides' exponents at Phi_k. The margin at k is v_k(N) + m_k - v_k(E);
+    no valuation is taken of a constant E or of a known Phi_k, and no gcd
+    or division reduces N/E. Each factor's record comes from the margin,
+    as FactorCheck says.
     """
     if modulus.is_empty:
         raise ValueError("empty modulus")
-    a, b, s1, e1 = _parts(lhs)
-    c, d, s2, e2 = _parts(rhs)
-    low, xa, xc = _common(e1, e2)
-    a, c = _times(a, xa), _times(c, xc)
-    s = min(s1, s2)
-    if b == d:
-        dens = (b,)
-    else:
-        a, c, dens = a * d, c * b, (b, d)
-    num = a.shifted(s1 - s) - c.shifted(s2 - s)
-    # a zero N has margin inf, and no Phi_d divides a constant
-    dens = [p for p in dens if num and len(p) > 1]
+    lhs, rhs = (x if isinstance(x, QExpr) else QExpr(x) for x in (lhs, rhs))
+    num, den, _, low = _unreduced_sum(lhs, -rhs)
     checks = []
     pole = False
     short = False
     for k, e in modulus.factors:
-        m = (phi_valuation(num, k) + low.get(k, 0)
-             - sum(phi_valuation(p, k) for p in dens))
+        m = phi_valuation(num, k) + low.get(k, 0)
+        # a zero N has margin inf, and no Phi_k divides a constant
+        if num and len(den) > 1:
+            m -= phi_valuation(den, k)
         fc = FactorCheck(k, e, max(m, 0), max(-m, 0))
         checks.append(fc)
         if fc.margin < 0:

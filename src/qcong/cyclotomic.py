@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import ONE, Poly, _mk, _phi_split
+from .exact import Poly, _mk, _phi_power, _phi_split
 
 
 def divisors(n: int) -> list[int]:
@@ -143,10 +143,7 @@ class CycloModulus:
         return CycloModulus(tuple(items.items()))
 
     def poly(self) -> Poly:
-        out = ONE
-        for d, e in self.factors:
-            out = out * cyclotomic(d) ** e
-        return out
+        return _phi_power(self.factors)
 
     def __str__(self):
         if not self.factors:

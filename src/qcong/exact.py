@@ -1,8 +1,12 @@
 """Exact arithmetic in Z[q] and its fraction field.
 
-Two layers: dense integer polynomials (Poly), and reduced fractions of
-those times a signed power of q (QExpr), which carries negative q-powers
-as an integer shift.
+Two layers: dense integer polynomials (Poly), and fractions of those
+times a signed power of q and a product of cyclotomic powers (QExpr),
+which carries negative q-powers as an integer shift and the cyclotomic
+factors as an exponent map. Each rule is stated once: _phi_power forms
+every product of cyclotomic powers, _unreduced_sum every sum of two
+QExprs (congruence.check_congruence's difference among them), and _pack
+every evaluation at a power of two.
 Everything is immutable and hashable, and every operation is exact; there
 is no floating point anywhere in this module.
 
@@ -24,9 +28,8 @@ every fast result carries a certificate:
 - gcd_rational runs the heuristic gcd GCDHEU of Char, Geddes and Gonnet:
   an integer gcd of values at a point xi = 2^(8w), read back into
   balanced digits by the same unpacker and accepted only when it divides
-  both inputs. Otherwise the primitive pseudo-remainder sequence decides.
-  Long polynomials are evaluated at an integer by pairing neighbouring
-  coefficients and squaring the point, not by Horner's rule.
+  both inputs. Both inputs are packed at that point by the same packer.
+  Otherwise the primitive pseudo-remainder sequence decides.
 
 Short operands keep the schoolbook loops, which are faster there. One
 Z-division loop, _divmod_z, serves exact division, the PRS
@@ -44,9 +47,6 @@ from fractions import Fraction
 # see the measurement recorded in CHANGES.md.
 _KRONECKER_MUL_MIN_LEN = 4
 _KRONECKER_DIV_MIN_LEN = 4
-# Length from which Poly.__call__ at an integer |x| >= 2 splits pairwise
-# instead of running Horner; see the measurement recorded in CHANGES.md.
-_SPLIT_EVAL_MIN_LEN = 128
 # Widths (division) and evaluation points (gcd) tried before long division
 # or the PRS decides.
 _KRONECKER_DIV_TRIES = 4
@@ -342,7 +342,7 @@ class Poly:
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is ONE else result * base
             n >>= 1
             if n:
                 base = base * base
@@ -416,21 +416,8 @@ class Poly:
         return _mk(out)
 
     def __call__(self, x):
-        c = self._c
-        if type(x) is int and len(c) >= _SPLIT_EVAL_MIN_LEN and abs(x) > 1:
-            # Horner's multiply-adds grow the accumulator one digit at a
-            # time, which is quadratic; pairing neighbours, c_i + c_(i+1) x,
-            # then squaring x halves the length with balanced products.
-            vals = list(c)
-            while len(vals) > 1:
-                if len(vals) % 2:
-                    vals.append(0)
-                vals = [a + b * x for a, b in zip(vals[::2], vals[1::2])]
-                if len(vals) > 1:
-                    x *= x
-            return vals[0]
         acc = 0
-        for a in reversed(c):
+        for a in reversed(self._c):
             acc = acc * x + a
         return acc
 
@@ -489,14 +476,15 @@ def _heu_gcd(a: Poly, b: Poly):
     xi > 1 + 2 min(|a|_inf, |b|_inf), let G be the primitive part of the
     polynomial whose balanced base-xi digits are gcd(a(xi), b(xi)). If G
     divides both a and b, then G is their gcd. Here xi = 2^(8w), so the
-    digits come from _unpack; the first w puts xi above that bound, and w
-    only grows. The two divisions that certify G are the cofactors.
+    values come from _pack and the digits from _unpack. The first w is set
+    by the larger norm, so that both inputs fit its slots; xi then exceeds
+    1 + 2 max(|a|_inf, |b|_inf), hence the bound, and w only grows. The
+    two divisions that certify G are the cofactors.
     """
     n = min(len(a), len(b))
-    w = _width((2 * min(_norm(a._c), _norm(b._c)) + 1).bit_length())
+    w = _width((2 * max(_norm(a._c), _norm(b._c)) + 1).bit_length())
     for _ in range(_HEU_GCD_TRIES):
-        xi = 1 << (8 * w)
-        digits = _unpack(math.gcd(a(xi), b(xi)), n, w)
+        digits = _unpack(math.gcd(_pack(a._c, w), _pack(b._c, w)), n, w)
         # more than n digits: G would outgrow a or b and divide neither
         if digits is not None:
             g = _mk(digits).primitive()
@@ -568,7 +556,10 @@ def _q_split(p: Poly):
 @lru_cache(maxsize=1024)
 def _phi_power(factors: tuple) -> Poly:
     """prod Phi_d^e over the sorted (d, e) pairs of factors, each e >= 1,
-    multiplied pairwise so that the operands of each product balance."""
+    multiplied pairwise so that the operands of each product balance.
+
+    The one product of cyclotomic powers: cofactors, frac_sum's common
+    denominator and CycloModulus.poly all come from here."""
     # cyclotomic.py builds Phi_d with this module's arithmetic
     from .cyclotomic import cyclotomic
     out = [cyclotomic(d) ** e for d, e in factors] or [ONE]
@@ -634,17 +625,44 @@ def _times(p: Poly, factors: tuple) -> Poly:
     return p * _phi_power(factors) if factors else p
 
 
+def _unreduced_sum(x: "QExpr", y: "QExpr") -> tuple:
+    """(num, den, shift, m) with x + y = q^shift * num / den * prod
+    Phi_d^(m_d), formed with no gcd and no division.
+
+    m is the per-d minimum of the two exponent maps, and each side's num
+    is multiplied by its cofactor prod Phi_d^(e_d - m_d). Constant dens
+    are scaled to their lcm; otherwise num is formed over the product of
+    both dens.
+    """
+    s = min(x._shift, y._shift)
+    m, xa, xb = _common(x._phis, y._phis)
+    a, b = _times(x._num, xa), _times(y._num, xb)
+    da, db = x._den, y._den
+    if len(da) == 1 and len(db) == 1:
+        # constant dens: over their lcm, by integer scalings
+        u, v = da[0], db[0]
+        g = math.gcd(u, v)
+        if v != g:
+            a = a * (v // g)
+        if u != g:
+            b = b * (u // g)
+        den = _mk((u // g * v,))
+    else:
+        a, b, den = a * db, b * da, da * db
+    return a.shifted(x._shift - s) + b.shifted(y._shift - s), den, s, m
+
+
 class QExpr:
     """q^shift * num / den * prod_d Phi_d^e_d, num and den in Z[q], e_d != 0.
 
     The exponent map holds the cyclotomic factors whose factorization is
-    known (qcombinatorics' factored builders put them there). A sum takes
-    the per-d minimum exponent and multiplies each num by its cofactor;
-    products and powers add exponents; nothing is divided. den is what
-    is left of a denominator passed in as a plain Poly: when num and den
-    are both nonconstant, gcd_rational reduces them, so their primitive
-    parts stay coprime. With a constant den, as every builder's is, no
-    gcd is taken.
+    known (qcombinatorics' factored builders put them there). A sum
+    (_unreduced_sum) takes the per-d minimum exponent and multiplies each
+    num by its cofactor; products and powers add exponents; nothing is
+    divided. den is what is left of a denominator passed in as a plain
+    Poly: when num and den are both nonconstant, gcd_rational reduces
+    them, so their primitive parts stay coprime. With a constant den, as
+    every builder's is, no gcd is taken.
 
     The canonical form is built when the value is observed (==, hash,
     str, repr, num, den, shift, evaluation), and kept: each Phi_d is
@@ -729,23 +747,7 @@ class QExpr:
             return self
         if not self._num:
             return o
-        s = min(self._shift, o._shift)
-        m, xa, xb = _common(self._phis, o._phis)
-        a, b = _times(self._num, xa), _times(o._num, xb)
-        da, db = self._den, o._den
-        if len(da) == 1 and len(db) == 1:
-            # constant dens: over their lcm, by integer scalings
-            x, y = da[0], db[0]
-            g = math.gcd(x, y)
-            if y != g:
-                a = a * (y // g)
-            if x != g:
-                b = b * (x // g)
-            den = _mk((x // g * y,))
-        else:
-            a, b, den = a * db, b * da, da * db
-        num = a.shifted(self._shift - s) + b.shifted(o._shift - s)
-        return _reduced(num, den, s, m)
+        return _reduced(*_unreduced_sum(self, o))
 
     def __add__(self, other):
         o = self._coerced(other)

@@ -25,7 +25,8 @@ import math
 from functools import lru_cache
 
 from .cyclotomic import cyclotomic, divisors
-from .exact import ONE, Poly, QExpr, ZERO, _mk, _pack, _qexpr, _unpack, _width
+from .exact import (ONE, Poly, QExpr, ZERO, _mk, _pack, _phi_power, _qexpr,
+                    _unpack, _width)
 
 
 @lru_cache(maxsize=256)
@@ -300,9 +301,7 @@ def frac_sum(terms) -> QExpr:
     """
     terms = list(terms)
     ds = sorted({d for _, m in terms for d in divisors(m)})
-    den = ONE
-    for d in ds:
-        den = den * cyclotomic(d)
+    den = _phi_power(tuple((d, 1) for d in ds))
     by_m = {}  # m -> the coefficient tuples of its nonzero c
     for c, m in terms:
         if not isinstance(c, Poly):

@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from qcong import exact
 from qcong.exact import Poly, ONE
 from qcong.cyclotomic import (
     CycloModulus,
@@ -136,6 +138,21 @@ def test_cyclo_modulus_basics():
         CycloModulus(((3, 0),))
     with pytest.raises(ValueError):
         CycloModulus(((3, 1), (3, 2)))
+
+
+def test_phi_power_matches_the_sequential_product():
+    # the balanced, cached product against one factor at a time, on seeded
+    # sorted factor tuples with d <= 60 and e <= 3, the empty one included
+    rng = random.Random(60)
+    for size in [0] + [rng.randint(1, 12) for _ in range(40)]:
+        factors = tuple(sorted((d, rng.randint(1, 3))
+                               for d in rng.sample(range(1, 61), size)))
+        want = ONE
+        for d, e in factors:
+            for _ in range(e):
+                want = want * cyclotomic(d)
+        assert exact._phi_power(factors) == want, factors
+        assert CycloModulus(factors).poly() == want, factors
 
 
 def test_factor_q_integer():

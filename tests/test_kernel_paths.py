@@ -202,7 +202,7 @@ def _gcd_cases(rng):
             yield u, v
 
 
-def test_gcd_matches_prs():
+def test_gcd_matches_prs(monkeypatch):
     rng = random.Random(SEED + 4)
     for a, b in _gcd_cases(rng):
         want = ex._prs_gcd(a.primitive(), b.primitive())
@@ -217,8 +217,14 @@ def test_gcd_matches_prs():
             heu = ex._heu_gcd(pa, pb)
             assert heu is None or (heu[0] == want and heu[0] * heu[1] == pa
                                    and heu[0] * heu[2] == pb)
-    # b vanishes at the first point, 2^8, so only a wider one decides
-    assert ex._heu_gcd(Poly([0, 1]), Poly([-256, 1]))[0] == ONE
+    # at the first point, 2^8, the values share 205, whose digits -51 + q
+    # divide neither input; the second, 2^16, decides with a gcd of 5
+    widths = []
+    unpack = ex._unpack
+    monkeypatch.setattr(ex, "_unpack",
+                        lambda v, n, w: widths.append(w) or unpack(v, n, w))
+    assert ex._heu_gcd(Poly([0, 4, 2, -4, 3]), Poly([-1, -4]))[0] == ONE
+    assert widths == [1, 2]
 
 
 def test_gcd_falls_back_to_prs(monkeypatch):
@@ -337,11 +343,10 @@ def _horner(p, x):
 
 
 def test_evaluation_matches_horner():
-    # lengths 0-400 on both sides of the split's crossover, at the points
-    # GCDHEU uses (±xi), the small integers and a fraction
+    # lengths 0-400 at ±xi, the small integers and a fraction; and the
+    # packed value at 2^(8w), the point GCDHEU evaluates at
     rng = random.Random(SEED + 8)
-    m = ex._SPLIT_EVAL_MIN_LEN
-    lengths = {0, 1, 2, 3, m - 1, m, m + 1, 255, 256, 257, 400}
+    lengths = {0, 1, 2, 3, 255, 256, 257, 400}
     lengths |= {rng.randint(0, 400) for _ in range(10)}
     for length in sorted(lengths):
         for bits in (3, 100):
@@ -349,6 +354,8 @@ def test_evaluation_matches_horner():
             xi = 2 * max(map(abs, p.coeffs), default=0) + 29
             for x in (0, 1, -1, 2, -2, xi, -xi, Fraction(-3, 7)):
                 assert p(x) == _horner(p, x), (length, bits, x)
+            w = ex._width(bits + 1)
+            assert ex._pack(p.coeffs, w) == _horner(p, 1 << (8 * w))
 
 
 def test_against_sympy():

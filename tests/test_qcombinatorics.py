@@ -6,7 +6,7 @@ import pytest
 
 from qcong.exact import ONE, Poly, QExpr, ZERO
 from qcong.cyclotomic import cyclotomic, divisors, phi_valuation
-from qcong import qcombinatorics
+from qcong import exact, qcombinatorics
 from qcong.qcombinatorics import (
     _div_one_minus_qpow,
     _times_ratio,
@@ -345,23 +345,28 @@ def test_frac_sum_matches_term_by_term_reference():
 
 
 def test_frac_sum_forms_no_poly_operation_per_term(monkeypatch):
-    # only the product forming the common denominator multiplies Polys;
-    # nothing adds or divides them, and the sum is left unreduced
+    # only the product forming the common denominator multiplies Polys:
+    # on a cold _phi_power cache its len(D) - 1 pairwise products, on a
+    # warm one none; nothing adds or divides them, and the sum is left
+    # unreduced
     terms = _random_terms(random.Random(11), 40)
     want = frac_sum(terms)  # and every cyclotomic(d) it needs is cached
-    calls = {"__mul__": 0, "__add__": 0, "exact_div": 0}
-    for name in calls:
-        method = getattr(Poly, name)
-
-        def counted(self, other, name=name, method=method):
-            calls[name] += 1
-            return method(self, other)
-        monkeypatch.setattr(Poly, name, counted)
     ds = {d for _, m in terms for d in divisors(m)}
-    got = frac_sum(terms)
-    assert calls == {"__mul__": len(ds), "__add__": 0, "exact_div": 0}
-    monkeypatch.undo()
-    assert got == want == _frac_sum_reference(terms)
+    for products in (len(ds) - 1, 0):
+        if products:
+            exact._phi_power.cache_clear()
+        calls = {"__mul__": 0, "__add__": 0, "exact_div": 0}
+        for name in calls:
+            method = getattr(Poly, name)
+
+            def counted(self, other, name=name, method=method):
+                calls[name] += 1
+                return method(self, other)
+            monkeypatch.setattr(Poly, name, counted)
+        got = frac_sum(terms)
+        monkeypatch.undo()
+        assert calls == {"__mul__": products, "__add__": 0, "exact_div": 0}
+        assert got == want == _frac_sum_reference(terms)
 
 
 def test_frac_sum_slots_hold_the_numerator_and_every_quotient(monkeypatch):

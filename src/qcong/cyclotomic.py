@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import Poly, _mk, _phi_power, _phi_split
+from .exact import Poly, _mk, _phi_power, _split
 
 
 def divisors(n: int) -> list[int]:
@@ -102,14 +102,14 @@ def _stretched(p: Poly, k: int) -> Poly:
 def phi_valuation(p: Poly, d: int):
     """Multiplicity of cyclotomic(d) in p; math.inf for the zero polynomial.
 
-    exact._kronecker_valuation packs p and Phi_d at one power of two and
-    divides p's integer by Phi_d's while the remainder is 0; it returns
-    the count only under its size certificate. Otherwise exact polynomial
-    division by Phi_d, repeated, decides (exact._phi_split).
+    exact._split packs p and Phi_d at one power of two and divides p's
+    integer by Phi_d's while the remainder is 0; it accepts the count only
+    under its size certificate, and otherwise long division by Phi_d,
+    repeated, decides.
     """
     if not p:
         return math.inf
-    return _phi_split(p, cyclotomic(d))[1]
+    return _split(p, cyclotomic(d))[1]
 
 
 @dataclass(frozen=True)

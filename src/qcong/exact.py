@@ -17,23 +17,24 @@ every fast result carries a certificate:
   polynomials are evaluated at 2^k, the integers are multiplied, and the
   product's balanced base-2^k digits are read back. k bounds every
   product coefficient, so the digits are the coefficients.
-- Exact division by a long divisor and the Phi_d valuations share one
-  routine, _kronecker_valuation: both operands are packed at B = 2^k and
-  the integer a(B) is divided by b(B), up to a given number of times,
-  while the remainder is 0. A nonzero remainder at the first division
-  proves that b does not divide a. A count v >= 1 and its quotient Q are
-  accepted only when |Q|_inf |b|_1^v < B/2, which makes b^v Q and a the
-  balanced digits of one integer. Otherwise k is widened a few times,
-  then long division, repeated for a valuation, decides.
+- Every exact division and every Phi_d valuation is one call to one
+  routine, _split, which splits off up to `most` factors of b:
+  _kronecker_valuation packs both operands at B = 2^k and divides the
+  integer a(B) by b(B), up to `most` times, while the remainder is 0. A
+  nonzero remainder at the first division proves that b does not divide
+  a. A count v >= 1 and its quotient Q are accepted only when
+  |Q|_inf |b|_1^v < B/2, which makes b^v Q and a the balanced digits of
+  one integer. Otherwise k is widened a few times, and then long
+  division, repeated up to `most` times, decides inside the same routine.
 - gcd_rational runs the heuristic gcd GCDHEU of Char, Geddes and Gonnet:
   an integer gcd of values at a point xi = 2^(8w), read back into
   balanced digits by the same unpacker and accepted only when it divides
   both inputs. Both inputs are packed at that point by the same packer.
   Otherwise the primitive pseudo-remainder sequence decides.
 
-Short operands keep the schoolbook loops, which are faster there. One
-Z-division loop, _divmod_z, serves exact division, the PRS
-pseudo-remainders and congruence.reduce_mod.
+Only the product keeps a schoolbook loop for short operands, where it
+is faster. One Z-division loop, _divmod_z, serves the division fallback,
+the PRS pseudo-remainders and congruence.reduce_mod.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ import struct
 from functools import lru_cache
 from fractions import Fraction
 
-# Operand lengths from which the Kronecker paths beat the schoolbook loops;
-# see the measurement recorded in CHANGES.md.
+# Operand length from which Kronecker multiplication beats the schoolbook
+# loop; see the measurement recorded in CHANGES.md.
 _KRONECKER_MUL_MIN_LEN = 4
-_KRONECKER_DIV_MIN_LEN = 4
 # Widths (division) and evaluation points (gcd) tried before long division
 # or the PRS decides.
 _KRONECKER_DIV_TRIES = 4
@@ -151,13 +151,14 @@ def _schoolbook_mul(a, b) -> list:
 
 
 def _kronecker_valuation(a, b, most=math.inf):
-    """Certified split a = b^v Q of the nonzero a by Kronecker substitution.
+    """Certified split a = b^v Q of the nonzero a: (v, Q), Q's coefficients
+    as a tuple, with b^v Q = a in Z[q], v <= most, and b^(v+1) not dividing
+    a when v < most, so that v is then b's multiplicity. An unbounded
+    `most` needs b != ±1.
 
     a and b are packed at B = 2^k, and a(B) is divided by b(B), at most
-    `most` times, while the remainder is 0. Returns (v, Q), Q's
-    coefficients, with b^v Q = a in Z[q]; when v < most, b^(v+1) does not
-    divide a, so v is b's multiplicity. Returns None when no width tried
-    gave a certified answer. An unbounded `most` needs b != ±1.
+    `most` times, while the remainder is 0. When no width tried certifies
+    the count, long division, repeated up to `most` times, decides.
 
     >>> _kronecker_valuation((1, -2, 1), (-1, 1))
     (2, (1,))
@@ -188,7 +189,10 @@ def _kronecker_valuation(a, b, most=math.inf):
         if q is not None and _max_bits(q) + v * norm_bits < 8 * w - 1:
             return v, q
         bits *= 2
-    return None
+    v = 0
+    while v < most and (q := _long_div(a, b)) is not None:
+        a, v = q, v + 1
+    return v, tuple(a)
 
 
 def _divmod_z(a, b):
@@ -358,19 +362,12 @@ class Poly:
 
     def _div_core(self, other: "Poly"):
         # Exact quotient in Z[q], or None when other does not divide self.
-        a, b = self._c, other._c
-        if not b:
+        if not other._c:
             raise ZeroDivisionError("polynomial division by zero")
-        if not a:
+        if not self._c:
             return ZERO
-        if len(a) < len(b):
-            return None
-        if len(b) >= _KRONECKER_DIV_MIN_LEN:
-            vq = _kronecker_valuation(a, b, 1)
-            if vq is not None:
-                return _mk(vq[1]) if vq[0] else None
-        q = _long_div(a, b)
-        return None if q is None else _mk(q)
+        q, v = _split(self, other, 1)
+        return q if v else None
 
     def exact_div(self, other: "Poly") -> "Poly":
         """Exact quotient in Z[q].
@@ -446,7 +443,6 @@ class Poly:
 
 ZERO = Poly()
 ONE = Poly((1,))
-Q = Poly((0, 1))
 
 
 def _pseudo_divmod(a: Poly, b: Poly):
@@ -533,7 +529,7 @@ def gcd_rational(a: Poly, b: Poly, *, cofactors=None) -> Poly:
     return g
 
 
-def _split(x):
+def _num_den(x):
     # -> (Poly numerator, int denominator)
     if isinstance(x, Poly):
         return x, 1
@@ -568,24 +564,11 @@ def _phi_power(factors: tuple) -> Poly:
     return out[0]
 
 
-def _phi_split(p: Poly, phi: Poly, most=math.inf):
-    """(p / phi^v, v) for the largest v <= most with phi^v | p, p nonzero.
-
-    _kronecker_valuation decides under its size certificate; otherwise
-    exact division by phi, repeated, does.
-    """
-    if len(p) < len(phi):
-        return p, 0
-    vq = _kronecker_valuation(p._c, phi._c, most)
-    if vq is not None:
-        return (_mk(vq[1]) if vq[0] else p), vq[0]
-    v = 0
-    while v < most:
-        nxt = p.try_exact_div(phi)
-        if nxt is None:
-            break
-        p, v = nxt, v + 1
-    return p, v
+def _split(p: Poly, b: Poly, most=math.inf):
+    """(p / b^v, v) for the largest v <= most with b^v | p, p nonzero:
+    every exact division and every Phi_d valuation."""
+    v, q = _kronecker_valuation(p._c, b._c, most)
+    return (_mk(q) if v else p), v
 
 
 def _phi_divides(p: Poly, d: int, phi: Poly) -> bool:
@@ -685,8 +668,8 @@ class QExpr:
     __slots__ = ("_num", "_den", "_shift", "_phis", "_canon")
 
     def __init__(self, num=0, den=1):
-        pn, dn = _split(num)
-        pd, dd = _split(den)
+        pn, dn = _num_den(num)
+        pd, dd = _num_den(den)
         _reduced(pn * dd, pd * dn, 0, {}, self)
 
     def _observed(self) -> tuple:
@@ -868,10 +851,10 @@ def _canonical(num: Poly, den: Poly, shift: int, phis: dict) -> tuple:
         phi = _phi_power(((d, 1),))
         if e < 0:
             if _phi_divides(num, d, phi):
-                num, v = _phi_split(num, phi, -e)
+                num, v = _split(num, phi, -e)
                 e += v
         elif _phi_divides(den, d, phi):
-            den, v = _phi_split(den, phi, e)
+            den, v = _split(den, phi, e)
             e -= v
         if e > 0:
             up.append((d, e))

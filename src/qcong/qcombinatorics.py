@@ -86,11 +86,10 @@ def q_pochhammer(base_exp: int, count: int) -> Poly:
         raise ValueError("base_exp must be >= 1")
     if count < 0:
         raise ValueError("count must be >= 0")
-    if count == 0:
-        return ONE
-    prev = q_pochhammer(base_exp, count - 1)
-    m = base_exp * count
-    return prev - prev.shifted(m)
+    out = ONE
+    for j in range(1, count + 1):
+        out = out - out.shifted(base_exp * j)
+    return out
 
 
 @lru_cache(maxsize=1024)

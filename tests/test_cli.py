@@ -93,6 +93,54 @@ def test_compute_examples(capsys):
     assert capsys.readouterr().out.strip() == '["1","1","2","1","1"]'
 
 
+_LEHMER_JSON = """\
+[
+  {
+    "r": 2,
+    "alpha": 3,
+    "n": 0,
+    "numerator": "1",
+    "denominator": "1"
+  },
+  {
+    "r": 2,
+    "alpha": 3,
+    "n": 1,
+    "numerator": "0",
+    "denominator": "1"
+  },
+  {
+    "r": 2,
+    "alpha": 3,
+    "n": 2,
+    "numerator": "-3",
+    "denominator": "1"
+  }
+]
+"""
+
+
+@pytest.mark.parametrize("argv, text, json_out, csv_out", [
+    (["cyclotomic", "--n", "12"],
+     '["1","0","-1","0","1"]\n', '["1","0","-1","0","1"]\n',
+     "1,0,-1,0,1\n"),
+    (["qbinomial", "--n", "5", "--k", "2"],
+     '["1","1","2","2","2","1","1"]\n', '["1","1","2","2","2","1","1"]\n',
+     "1,1,2,2,2,1,1\n"),
+    (["euler-numbers", "--count", "5"],
+     "1,0,-1,0,5,0\n", '["1","0","-1","0","5","0"]\n', "1,0,-1,0,5,0\n"),
+    (["lehmer-euler", "--r", "2", "--alpha", "3", "--count", "2"],
+     "1,0,-3\n", _LEHMER_JSON,
+     "r,alpha,n,numerator,denominator\r\n2,3,0,1,1\r\n2,3,1,0,1\r\n"
+     "2,3,2,-3,1\r\n"),
+    (["m-star", "--n", "3", "--alpha", "2"], "49\n", "49\n", "49\n"),
+])
+def test_compute_prints_every_format(argv, text, json_out, csv_out, capsys):
+    for fmt, want in (("text", text), ("json", json_out), ("csv", csv_out)):
+        assert main(["compute", *argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out == want, fmt
+
+
 def test_compute_lehmer_csv(capsys):
     assert main(["compute", "lehmer-euler", "--r", "3", "--alpha", "1",
                  "--count", "3", "--format", "csv"]) == 0

@@ -11,7 +11,6 @@ from qcong.exact import (
     QExpr,
     ZERO,
     ONE,
-    Q,
     gcd_rational,
     NotDivisibleError,
     BothZeroError,
@@ -20,6 +19,8 @@ from qcong.qcombinatorics import (
     frac_sum, one_minus_qpow, q_binomial, q_fermat_quotient, q_integer,
     q_pochhammer, qbinom, qint,
 )
+
+Q = Poly([0, 1])
 
 
 def test_poly_normalization():

@@ -1,14 +1,15 @@
 """Differential tests: the kernel's fast paths against its reference loops.
 
-Kronecker multiplication against schoolbook multiplication, Kronecker
-exact division against long division, and GCDHEU against the primitive
-pseudo-remainder sequence, on seeded random operands on both sides of each
-crossover length; pseudo-division is checked against its defining
+Kronecker multiplication against schoolbook multiplication on both sides
+of its crossover length, the certified split against long division (also
+with no width to try, where the split is its long-division fallback),
+and GCDHEU against the primitive pseudo-remainder sequence, on seeded
+random operands; pseudo-division is checked against its defining
 identity. Gaussian binomials from the packed ratio recurrence are checked
 against the Pochhammer quotient and, for large rows, against their values
 at q = 1, 2, -2 and 3. Phi_d valuations from repeated division of one
 packed integer are checked against repeated polynomial division, and
-pairwise-split evaluation against Horner's rule. A last block
+evaluation against Horner's rule. A last block
 cross-checks products, gcds, exact quotients and cyclotomic remainders
 against sympy when it is installed.
 """
@@ -90,9 +91,9 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
         want = want * p
 
 
-def test_divide_matches_long_division():
+def _assert_division_matches_long_division():
     rng = random.Random(SEED + 2)
-    for lb in lengths_around(ex._KRONECKER_DIV_MIN_LEN):
+    for lb in (1, 2, 3, 4, 5, 11):
         for lq in (1, 2, 9, 40):
             for bits in (1, 20, 64, 90):
                 b = rand_coeffs(rng, lb, rng.randint(1, 90))
@@ -100,12 +101,12 @@ def test_divide_matches_long_division():
                 a = tuple(ex._schoolbook_mul(q, b))
                 # divisible: the quotient comes back exactly
                 assert ex._long_div(a, b) == list(q)
-                assert ex._kronecker_valuation(a, b, 1) in ((1, q), None)
+                assert ex._kronecker_valuation(a, b, 1) == (1, q)
                 assert Poly(a).try_exact_div(Poly(b)).coeffs == q
                 # a = b^2 q: one division, however many more b allows
                 bq = tuple(ex._schoolbook_mul(b, q))
                 a2 = tuple(ex._schoolbook_mul(b, bq))
-                assert ex._kronecker_valuation(a2, b, 1) in ((1, bq), None)
+                assert ex._kronecker_valuation(a2, b, 1) == (1, bq)
                 assert Poly(a2).try_exact_div(Poly(b)).coeffs == bq
                 # not divisible: a nonzero remainder of lower degree
                 r = list(a)
@@ -114,10 +115,20 @@ def test_divide_matches_long_division():
                 if r and len(r) >= len(b):
                     want = ex._long_div(r, b)
                     got = ex._kronecker_valuation(r, b, 1)
-                    assert got is None or got == (
+                    assert got == (
                         (0, r) if want is None else (1, tuple(want)))
                     assert Poly(r).try_exact_div(Poly(b)) == (
                         None if want is None else Poly(want))
+
+
+def test_divide_matches_long_division():
+    _assert_division_matches_long_division()
+
+
+def test_division_with_no_width_is_long_division(monkeypatch):
+    # with no width to try, the routine is its long-division fallback
+    monkeypatch.setattr(ex, "_KRONECKER_DIV_TRIES", 0)
+    _assert_division_matches_long_division()
 
 
 def test_pseudo_divmod_identity():
@@ -144,7 +155,7 @@ def test_pseudo_divmod_identity():
 
 
 def test_divide_over_q_but_not_over_z():
-    b = Poly([2, 2] + [0] * (2 * ex._KRONECKER_DIV_MIN_LEN) + [2])
+    b = Poly([2, 2] + [0] * 8 + [2])
     a = b * Poly([1, 1])
     assert a.try_exact_div(b) == Poly([1, 1])
     assert (a.primitive()).try_exact_div(b) is None
@@ -179,13 +190,14 @@ def test_divide_falls_back_when_widths_run_out(monkeypatch):
     den = q_pochhammer(1, 24) ** 2
     want = Poly(ex._long_div(num.coeffs, den.coeffs))
     monkeypatch.setattr(ex, "_KRONECKER_DIV_TRIES", 1)
-    assert ex._kronecker_valuation(num.coeffs, den.coeffs, 1) is None
+    assert ex._kronecker_valuation(num.coeffs, den.coeffs, 1) == (
+        1, want.coeffs)
     assert num.exact_div(den) == want
     assert (num + 1).try_exact_div(den) is None
 
 
 def test_divide_zero_and_short_dividend():
-    b = rand_poly(random.Random(SEED + 3), ex._KRONECKER_DIV_MIN_LEN + 2, 30)
+    b = rand_poly(random.Random(SEED + 3), 6, 30)
     assert ZERO.exact_div(b) == ZERO
     assert Poly([5]).try_exact_div(b) is None
     with pytest.raises(ZeroDivisionError):
@@ -318,7 +330,8 @@ def test_phi_valuation_ignores_accidental_integer_divisibility(monkeypatch):
     p = Poly([127, 127, 1])
     assert p(256) % 255 == 0 and p(1) != 0
     monkeypatch.setattr(ex, "_width", lambda bits: 1)
-    assert ex._kronecker_valuation(p.coeffs, cyclotomic(1).coeffs) is None
+    assert ex._kronecker_valuation(p.coeffs, cyclotomic(1).coeffs) == (
+        0, p.coeffs)
     assert phi_valuation(p, 1) == 0
 
 
@@ -327,12 +340,25 @@ def test_phi_valuation_falls_back_to_polynomial_division(monkeypatch):
     # certify it: |Q|_inf |Phi_1|_1^3 needs 2 + 3 * 2 bits, not 7
     p = cyclotomic(1) ** 3 * Poly([2, 1])
     calls = []
-    divide = Poly.try_exact_div
+    divide = ex._long_div
     monkeypatch.setattr(ex, "_width", lambda bits: 1)
-    monkeypatch.setattr(Poly, "try_exact_div",
+    monkeypatch.setattr(ex, "_long_div",
                         lambda a, b: calls.append(b) or divide(a, b))
     assert phi_valuation(p, 1) == 3
     assert len(calls) == 4
+
+
+def test_phi_valuation_enters_the_packed_split_once(monkeypatch):
+    # one-byte slots certify no count for Phi_5^3 (q + 2): the long-division
+    # fallback inside the same call decides, with no second packed attempt
+    p = cyclotomic(5) ** 3 * Poly([2, 1])
+    calls = []
+    split = ex._kronecker_valuation
+    monkeypatch.setattr(ex, "_width", lambda bits: 1)
+    monkeypatch.setattr(ex, "_kronecker_valuation",
+                        lambda *args: calls.append(args) or split(*args))
+    assert phi_valuation(p, 5) == 3
+    assert len(calls) == 1
 
 
 def _horner(p, x):

@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -39,6 +41,22 @@ def test_q_pochhammer():
     assert q_pochhammer(1, 4)(1) == 0
     with pytest.raises(ValueError):
         q_pochhammer(0, 1)
+
+
+def test_q_pochhammer_takes_no_frame_per_factor():
+    # a cold (q;q)_200 must build within 60 frames of the caller's depth;
+    # the reference multiplies its 200 factors pairwise
+    f = [Poly([1] + [0] * (j - 1) + [-1]) for j in range(1, 201)]
+    while len(f) > 1:
+        f = [a * b for a, b in zip(f[::2], f[1::2])] + f[len(f) & ~1:]
+    q_pochhammer.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        got = q_pochhammer(1, 200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == f[0]
 
 
 def test_q_binomial_small():

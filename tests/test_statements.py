@@ -307,6 +307,14 @@ def test_verdict_record_json_round_trip():
     assert parsed == records
 
 
+def test_ill_posed_record_carries_its_hypothesis_error():
+    rec = verify("t1", grid=[{"n": 4, "alpha": 2}])[0]
+    out = rec.to_dict()
+    assert list(out)[-2:] == ["note", "hypothesis_error"]
+    assert out["hypothesis_error"] == "n must be a positive odd integer, got 4"
+    assert VerdictRecord.from_dict(json.loads(json.dumps(out))) == rec
+
+
 def test_builders_return_expected_kinds():
     kinds = {
         "t1": QCongruence,

@@ -156,7 +156,7 @@ def _records_csv(records) -> str:
     names = [p for p in PARAM_FLAGS
              if any(p in r.param_dict for r in records)]
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["statement", "variant", *names, "status", "factors", "note",
          "elapsed_ms"]
@@ -294,7 +294,7 @@ def _compute(args):
         values = lehmer_euler_numbers(r, alpha, count)
         if fmt == "csv":
             buf = io.StringIO()
-            writer = csv.writer(buf)
+            writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(["r", "alpha", "n", "numerator", "denominator"])
             for n, v in enumerate(values):
                 writer.writerow([r, alpha, n, v.numerator, v.denominator])
@@ -320,8 +320,8 @@ def _compute(args):
 
 
 def cmd_report(args) -> int:
-    selector = "all" if args.all or args.statement is None else args.statement
-    statements = select_statements(selector)
+    statements = select_statements(
+        "all" if args.statement is None else args.statement)
     grouped = _verify_runs(
         [(s.tag, v, None) for s in statements for v in reversed(s.variants)],
         args.jobs,
@@ -422,9 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("report",
                         help="run default grids for many statements,"
                         " canonical and as-printed side by side")
-    pr.add_argument("--statement", default=None,
-                    help="comma-separated tags (default: all)")
-    pr.add_argument("--all", action="store_true")
+    which = pr.add_mutually_exclusive_group()
+    which.add_argument("--statement", default=None,
+                       help="comma-separated tags (default: all)")
+    which.add_argument("--all", action="store_true")
     add_common(pr)
     pr.set_defaults(func=cmd_report)
     return parser

@@ -26,12 +26,12 @@ both on the Z[q] kernel's one long-division loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
 from .cyclotomic import CycloModulus, phi_valuation
-from .exact import ONE, Poly, QExpr, ZERO, _pseudo_divmod, _unreduced_sum
+from .exact import ONE, QExpr, ZERO, _pseudo_divmod, _unreduced_sum
 
 __all__ = [
     "CycloModulus",
@@ -67,20 +67,16 @@ def _val_parse(v):
     return math.inf if v == "inf" else int(v)
 
 
-@dataclass(frozen=True)
-class FactorCheck:
+class FactorCheck(namedtuple("FactorCheck", "d required val_num val_den")):
     """Valuation bookkeeping for one modulus factor Phi_d^required.
 
     val_num and val_den are the multiplicities of Phi_d in the numerator
-    and denominator of the reduced difference, at most one of them
-    positive: max(margin, 0) and max(-margin, 0). A zero difference has
-    val_num inf and val_den 0.
+    and denominator of the reduced difference, each an int or math.inf,
+    at most one of them positive: max(margin, 0) and max(-margin, 0). A
+    zero difference has val_num inf and val_den 0.
     """
 
-    d: int
-    required: int
-    val_num: object  # int or math.inf
-    val_den: object
+    __slots__ = ()
 
     @property
     def margin(self):
@@ -113,11 +109,10 @@ class FactorCheck:
         )
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: Status
-    factors: tuple = ()
-    note: str = ""
+class Verdict(namedtuple("Verdict", "status factors note", defaults=((), ""))):
+    """A Status, the FactorChecks behind it, and a free-text note."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -213,16 +208,14 @@ def check_int_congruence(lhs, rhs, modulus: int) -> Verdict:
     return Verdict(Status.FAILS, note=f"difference {diff} != 0 (mod {modulus})")
 
 
-@dataclass(frozen=True)
-class CanonicalRep:
+class CanonicalRep(namedtuple("CanonicalRep", "scale poly")):
     """A residue written as scale * poly with poly primitive over Z.
 
-    scale is a positive rational and deg(poly) < deg(modulus); zero is
+    scale is a positive Fraction and deg(poly) < deg(modulus); zero is
     represented as scale 1, poly 0.
     """
 
-    scale: Fraction
-    poly: Poly
+    __slots__ = ()
 
     def __str__(self):
         if not self.poly:

@@ -11,7 +11,7 @@ used as a congruence modulus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .exact import Poly, _mk, _phi_power, _split
@@ -112,21 +112,21 @@ def phi_valuation(p: Poly, d: int):
     return _split(p, cyclotomic(d))[1]
 
 
-@dataclass(frozen=True)
-class CycloModulus:
-    """A modulus of the form prod_d Phi_d(q)^e_d, factors sorted by d."""
+class CycloModulus(namedtuple("CycloModulus", "factors")):
+    """A modulus prod_d Phi_d(q)^e_d; factors holds its (d, e) pairs by d."""
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, factors):
+        factors = tuple(sorted(factors))
         seen = set()
-        for d, e in self.factors:
+        for d, e in factors:
             if d < 1 or e < 1:
                 raise ValueError(f"bad factor Phi_{d}^{e}")
             if d in seen:
                 raise ValueError(f"repeated factor index {d}")
             seen.add(d)
-        object.__setattr__(self, "factors", tuple(sorted(self.factors)))
+        return super().__new__(cls, factors)
 
     @classmethod
     def phi(cls, d: int, e: int = 1) -> "CycloModulus":

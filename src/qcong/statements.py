@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -60,24 +59,22 @@ class HypothesisViolation(ValueError):
     """Parameters violate a statement's hypotheses; it refuses to build."""
 
 
-@dataclass(frozen=True)
-class QCongruence:
-    lhs: QExpr
-    rhs: QExpr
-    modulus: CycloModulus
+class QCongruence(namedtuple("QCongruence", "lhs rhs modulus")):
+    """lhs = rhs (mod modulus): two QExprs and a CycloModulus."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntCongruence:
-    lhs: Fraction
-    rhs: Fraction
-    modulus: int
+class IntCongruence(namedtuple("IntCongruence", "lhs rhs modulus")):
+    """lhs = rhs (mod modulus): two Fractions and an int."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RationalIdentity:
-    lhs: Fraction
-    rhs: Fraction
+class RationalIdentity(namedtuple("RationalIdentity", "lhs rhs")):
+    """lhs = rhs exactly: two Fractions."""
+
+    __slots__ = ()
 
 
 def evaluate_built(built) -> Verdict:
@@ -500,15 +497,21 @@ def _build_cong_t0a(p, variant):
 # ---------------------------------------------------------------------------
 # registry
 
-@dataclass(frozen=True)
 class Statement:
-    tag: str
-    description: str
-    build: object
-    hypotheses: object
-    default_grid: object
-    canonical_variant: str = "as_printed"
-    note: str = ""
+    """One read-only registry entry. build(params, variant) gives a
+    QCongruence, IntCongruence or RationalIdentity; hypotheses(params)
+    raises HypothesisViolation; default_grid() lists the parameter dicts."""
+
+    def __init__(self, tag, description, build, hypotheses, default_grid,
+                 canonical_variant="as_printed", note=""):
+        vars(self).update(
+            tag=tag, description=description, build=build,
+            hypotheses=hypotheses, default_grid=default_grid,
+            canonical_variant=canonical_variant, note=note,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Statement {self.tag} is read-only")
 
     @cached_property
     def params(self) -> tuple:
@@ -841,14 +844,14 @@ assert len(REGISTRY) == 30
 # ---------------------------------------------------------------------------
 # verification driver
 
-@dataclass(frozen=True)
-class VerdictRecord:
-    statement: str
-    variant: str
-    params: tuple  # sorted (name, value) pairs
-    verdict: Verdict
-    elapsed_ms: int
-    hypothesis_error: str = ""
+class VerdictRecord(namedtuple(
+    "VerdictRecord",
+    "statement variant params verdict elapsed_ms hypothesis_error",
+    defaults=("",),
+)):
+    """One evaluated cell; params holds sorted (name, value) pairs."""
+
+    __slots__ = ()
 
     @property
     def param_dict(self) -> dict:
@@ -953,6 +956,9 @@ def verify(tag, grid=None, variant: str | None = None, jobs: int = 1):
         cells.extend((run_tag, run_variant, params) for params in run_grid)
     workers = min(jobs, len(cells))
     if workers > 1:
+        # the process-pool stack loads only in a process that opens a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(_run_cells, _guided_chunks(cells, workers))
             records = [rec for chunk in chunks for rec in chunk]

@@ -1,8 +1,7 @@
+import concurrent.futures
 import os
 
 import pytest
-
-from qcong import statements
 
 
 @pytest.fixture
@@ -11,12 +10,13 @@ def pools(monkeypatch):
     count as usable, so that `--jobs 2` is not clamped to one."""
     opened = []
 
-    class CountingPool(statements.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, *args, **kwargs):
             opened.append(max_workers)
             super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(statements, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     return opened

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import qcong
 from qcong import statements
 from qcong.cli import (
     UsageError,
@@ -131,8 +132,8 @@ _LEHMER_JSON = """\
      "1,0,-1,0,5,0\n", '["1","0","-1","0","5","0"]\n', "1,0,-1,0,5,0\n"),
     (["lehmer-euler", "--r", "2", "--alpha", "3", "--count", "2"],
      "1,0,-3\n", _LEHMER_JSON,
-     "r,alpha,n,numerator,denominator\r\n2,3,0,1,1\r\n2,3,1,0,1\r\n"
-     "2,3,2,-3,1\r\n"),
+     "r,alpha,n,numerator,denominator\n2,3,0,1,1\n2,3,1,0,1\n"
+     "2,3,2,-3,1\n"),
     (["m-star", "--n", "3", "--alpha", "2"], "49\n", "49\n", "49\n"),
 ])
 def test_compute_prints_every_format(argv, text, json_out, csv_out, capsys):
@@ -376,3 +377,40 @@ def test_report_all_json_is_unchanged(jobs, pools, capsys):
                 del record["elapsed_ms"]
     text = json.dumps(data, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_ALL_SHA256
+
+
+def test_report_all_and_statement_conflict(monkeypatch, capsys):
+    def no_cells(*args):
+        raise AssertionError("a cell ran before the usage error")
+
+    monkeypatch.setattr(statements, "run_cell", no_cells)
+    assert main(["report", "--all", "--statement", "pan1"]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--statement", "step_a9_0", "--t", "1", "--n", "2..3"],
+    ["report", "--statement", "cong_t0a"],
+])
+def test_record_csv_lines_end_in_newline_only(argv, capsys):
+    assert main([*argv, "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and "\r" not in out
+
+
+def test_cli_process_loads_no_pool_or_dataclass_stack():
+    # a fresh interpreter without site, so no .pth hook adds imports;
+    # jobs=1 runs cells in process and must not load the pool stack
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qcong.__file__)))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import qcong, qcong.cli\n"
+        "qcong.verify('lemma_a2', grid=[{'n': 3}])\n"
+        "heavy = ('multiprocessing', 'concurrent.futures.process',"
+        " 'dataclasses')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -20,10 +20,8 @@ from .congruence import (
 from .cyclotomic import (
     CycloModulus,
     cyclotomic,
-    euler_phi,
     factor_q_integer,
     is_prime,
-    mobius,
     phi_valuation,
 )
 from .euler import (
@@ -76,7 +74,6 @@ __all__ = [
     "check_int_congruence",
     "cyclotomic",
     "euler_numbers",
-    "euler_phi",
     "euler_polynomial",
     "euler_polynomial_value",
     "factor_q_integer",
@@ -85,7 +82,6 @@ __all__ = [
     "is_prime",
     "lehmer_euler_numbers",
     "m_star",
-    "mobius",
     "phi_valuation",
     "q_binomial",
     "q_fermat_quotient",

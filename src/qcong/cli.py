@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
 import os
@@ -22,7 +21,6 @@ import sys
 
 from .cyclotomic import cyclotomic
 from .euler import euler_numbers
-from .exact import Poly
 from .lehmer import lehmer_euler_numbers
 from .qcombinatorics import q_binomial
 from .statements import REGISTRY, HypothesisViolation, m_star, verify
@@ -138,52 +136,69 @@ def collect_overrides(args):
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# output helpers: each format is an iterable of text pieces
 
-def _write_out(text: str, path):
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    with open(path, "w") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+def _write_out(pieces, path):
+    """Write the pieces as they come, then a newline unless they end in one."""
+    fh = sys.stdout if path is None else open(path, "w")
+    try:
+        last = ""
+        for last in pieces:
+            fh.write(last)
+        fh.write("" if last.endswith("\n") else "\n")
+    finally:
+        if path is not None:
+            fh.close()
 
 
-def _records_csv(records) -> str:
+def _joined(pieces, sep=""):
+    """The nonempty pieces joined by sep, one string per 4096 of them."""
+    pieces = iter(pieces)
+    batches = iter(lambda: sep.join(itertools.islice(pieces, 4096)), "")
+    return itertools.chain(itertools.islice(batches, 1),
+                           map(sep.__add__, batches))
+
+
+def _json(obj):
+    # the encoder json.dumps(obj, indent=2) runs, without its chunk list
+    return _joined(json.JSONEncoder(indent=2).iterencode(obj))
+
+
+def _numbers(values, as_json):
+    """Numbers comma-separated, or a JSON list of their decimal strings."""
+    if as_json and not values:
+        return ["[]"]
+    body = _joined(map(str, values), '","' if as_json else ",")
+    return itertools.chain(['["'], body, ['"]']) if as_json else body
+
+
+# one CSV line per row: the writer's target hands back each line it gets
+_csv_line = csv.writer(argparse.Namespace(write=str),
+                       lineterminator="\n").writerow
+
+
+def _records_csv(records):
     names = [p for p in PARAM_FLAGS
              if any(p in r.param_dict for r in records)]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["statement", "variant", *names, "status", "factors", "note",
-         "elapsed_ms"]
-    )
+    yield _csv_line(["statement", "variant", *names, "status", "factors",
+                     "note", "elapsed_ms"])
     for r in records:
         pd = r.param_dict
         factors = " | ".join(map(str, r.verdict.factors))
-        writer.writerow(
+        yield _csv_line(
             [r.statement, r.variant, *[pd.get(p, "") for p in names],
              r.verdict.status.value, factors, r.verdict.note, r.elapsed_ms]
         )
-    return buf.getvalue()
 
 
-def _records_text(records) -> str:
-    lines = []
-    for r in records:
-        pstr = ", ".join(f"{k}={v}" for k, v in r.params)
-        lines.append(
-            f"{r.statement:14s} {r.variant:26s} {pstr:24s} {r.verdict}"
-        )
+def _records_text(records):
     counts = {}
     for r in records:
+        pstr = ", ".join(f"{k}={v}" for k, v in r.params)
+        yield f"{r.statement:14s} {r.variant:26s} {pstr:24s} {r.verdict}\n"
         counts[r.verdict.status.value] = counts.get(r.verdict.status.value, 0) + 1
     summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-    lines.append(f"{len(records)} cells: {summary}")
-    return "\n".join(lines)
+    yield f"{len(records)} cells: {summary}\n"
 
 
 def _exit_from(records) -> int:
@@ -232,22 +247,16 @@ def cmd_verify(args) -> int:
     for stmt, (tag, variant, _) in zip(statements, runs):
         records = grouped[(tag, variant)]
         if stmt.note and any(not r.verdict.ok for r in records):
-            notes.append(f"note [{stmt.tag}]: {stmt.note}")
+            notes.append(f"note [{stmt.tag}]: {stmt.note}\n")
         all_records.extend(records)
     if args.format == "json":
-        text = json.dumps([r.to_dict() for r in all_records], indent=2)
+        pieces = _json([r.to_dict() for r in all_records])
     elif args.format == "csv":
-        text = _records_csv(all_records)
+        pieces = _records_csv(all_records)
     else:
-        text = "\n".join([_records_text(all_records), *notes])
-    _write_out(text, args.output)
+        pieces = itertools.chain(_records_text(all_records), notes)
+    _write_out(pieces, args.output)
     return _exit_from(all_records)
-
-
-def _compute_poly_output(poly: Poly, fmt: str) -> str:
-    if fmt == "csv":
-        return ",".join(poly.to_decimal_strings())
-    return json.dumps(poly.to_decimal_strings(), separators=(",", ":"))
 
 
 def _int_args(args, *names):
@@ -265,10 +274,12 @@ def _int_args(args, *names):
 
 def cmd_compute(args) -> int:
     try:
-        _compute(args)
+        pieces = _compute(args)
     except ValueError as e:
-        # the generators reject out-of-range sizes with ValueError
+        # the generators reject out-of-range sizes with ValueError, and
+        # every value is computed before any output
         raise UsageError(f"compute {args.object}: {e}") from None
+    _write_out(pieces, args.output)
     return EXIT_OK
 
 
@@ -277,46 +288,31 @@ def _compute(args):
     fmt = args.format
     if obj == "cyclotomic":
         (n,) = _int_args(args, "n")
-        _write_out(_compute_poly_output(cyclotomic(n), fmt), args.output)
-    elif obj == "qbinomial":
+        return _numbers(cyclotomic(n).coeffs, fmt != "csv")
+    if obj == "qbinomial":
         n, k = _int_args(args, "n", "k")
-        _write_out(_compute_poly_output(q_binomial(n, k), fmt), args.output)
-    elif obj == "euler_numbers":
+        return _numbers(q_binomial(n, k).coeffs, fmt != "csv")
+    if obj == "euler_numbers":
         (count,) = _int_args(args, "count")
-        values = euler_numbers(count)
-        if fmt == "json":
-            text = json.dumps([str(v) for v in values], separators=(",", ":"))
-        else:
-            text = ",".join(str(v) for v in values)
-        _write_out(text, args.output)
-    elif obj == "lehmer_euler":
+        return _numbers(euler_numbers(count), fmt == "json")
+    if obj == "lehmer_euler":
         r, alpha, count = _int_args(args, "r", "alpha", "count")
         values = lehmer_euler_numbers(r, alpha, count)
         if fmt == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["r", "alpha", "n", "numerator", "denominator"])
-            for n, v in enumerate(values):
-                writer.writerow([r, alpha, n, v.numerator, v.denominator])
-            text = buf.getvalue()
-        elif fmt == "json":
-            text = json.dumps(
-                [
-                    {"r": r, "alpha": alpha, "n": n,
-                     "numerator": str(v.numerator),
-                     "denominator": str(v.denominator)}
-                    for n, v in enumerate(values)
-                ],
-                indent=2,
-            )
-        else:
-            text = ",".join(str(v) for v in values)
-        _write_out(text, args.output)
-    elif obj == "m_star":
+            rows = ([r, alpha, n, v.numerator, v.denominator]
+                    for n, v in enumerate(values))
+            return map(_csv_line, itertools.chain(
+                [["r", "alpha", "n", "numerator", "denominator"]], rows))
+        if fmt == "json":
+            return _json([{"r": r, "alpha": alpha, "n": n,
+                           "numerator": str(v.numerator),
+                           "denominator": str(v.denominator)}
+                          for n, v in enumerate(values)])
+        return _numbers(values, False)
+    if obj == "m_star":
         n, alpha = _int_args(args, "n", "alpha")
-        _write_out(str(m_star(n, alpha)), args.output)
-    else:
-        raise UsageError(f"unknown compute object {args.object!r}")
+        return [str(m_star(n, alpha))]
+    raise UsageError(f"unknown compute object {args.object!r}")
 
 
 def cmd_report(args) -> int:
@@ -353,7 +349,7 @@ def cmd_report(args) -> int:
             }
         entries.append(entry)
     if args.format == "json":
-        _write_out(json.dumps(entries, indent=2), args.output)
+        _write_out(_json(entries), args.output)
     elif args.format == "csv":
         _write_out(_records_csv(per_cell), args.output)
     else:
@@ -372,7 +368,7 @@ def cmd_report(args) -> int:
             if entry.get("note"):
                 lines.append(f"    note: {entry['note']}")
         lines.append("(* canonical variant; exit code reflects only those rows)")
-        _write_out("\n".join(lines), args.output)
+        _write_out(["\n".join(lines)], args.output)
     return _exit_from(canonical_records)
 
 
@@ -457,6 +453,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse uses 2 for usage errors and 0 for --help
         return int(e.code or 0)
+    # exact integers of any length print, in fork-started pool workers too
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         if hasattr(args, "jobs"):
             args.jobs = resolve_jobs(args.jobs)

@@ -50,24 +50,6 @@ def is_prime(n: int) -> bool:
     return prime_factors(n) == [n]
 
 
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be positive")
-    out = n
-    for p in prime_factors(n):
-        out -= out // p
-    return out
-
-
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be positive")
-    ps = prime_factors(n)
-    if any(n % (p * p) == 0 for p in ps):
-        return 0
-    return (-1) ** len(ps)
-
-
 @lru_cache(maxsize=1024)
 def cyclotomic(n: int) -> Poly:
     """The n-th cyclotomic polynomial as a Poly.

@@ -251,9 +251,6 @@ class Poly:
             raise ValueError("monomial degree must be nonnegative")
         return cls((0,) * degree + (coeff,))
 
-    def to_decimal_strings(self) -> list[str]:
-        return [str(c) for c in self._c]
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._c

@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from qcong.congruence import Status
-from qcong.cyclotomic import CycloModulus, cyclotomic, divisors, euler_phi
+from qcong.cyclotomic import CycloModulus, cyclotomic, divisors
 from qcong.euler import euler_numbers, euler_polynomial_value, higher_order_euler
 from qcong.exact import Poly
 from qcong.lehmer import lehmer_euler_numbers
@@ -149,6 +149,8 @@ def test_criterion_09_higher_power_sum():
 
 
 def test_criterion_10_cyclotomic_kernel():
+    from test_cyclotomic import euler_phi
+
     for n in range(1, 301):
         assert cyclotomic(n).degree == euler_phi(n)
         prod = Poly([1])

@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -414,3 +416,117 @@ def test_cli_process_loads_no_pool_or_dataclass_stack():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Every output is written a batch at a time as it is encoded. These tests
+# pin the bytes the writer must keep and the memory it may use.
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--statement", "cor1a,pan2,guozeng_01",
+     "--variant", "as_printed"],
+    ["report", "--statement", "pan2,cong_t0a"],
+])
+def test_json_output_is_json_dumps_with_indent_two(argv, capsys):
+    main([*argv, "--jobs", "1", "--format", "json"])
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--statement", "cor1a,pan2", "--variant", "as_printed"],
+    ["report", "--statement", "pan2,cong_t0a"],
+    ["compute", "cyclotomic", "--n", "30030"],
+    ["compute", "euler-numbers", "--count", "30"],
+    ["compute", "lehmer-euler", "--r", "2", "--alpha", "3", "--count", "40"],
+])
+def test_stdout_and_output_file_get_the_same_bytes(argv, fmt, tmp_path,
+                                                   monkeypatch, capsys):
+    # every elapsed_ms reads 0, so that two runs print the same
+    monkeypatch.setattr(statements, "time",
+                        types.SimpleNamespace(perf_counter=lambda: 0.0))
+    path = tmp_path / "out"
+    code = main([*argv, "--format", fmt])
+    out = capsys.readouterr().out
+    assert main([*argv, "--format", fmt, "--output", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_empty_number_list_prints_brackets_or_a_newline(capsys):
+    for fmt, want in (("json", "[]\n"), ("text", "[]\n"), ("csv", "\n")):
+        assert main(["compute", "qbinomial", "--n", "3", "--k", "5",
+                     "--format", fmt]) == 0
+        assert capsys.readouterr().out == want, fmt
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_a_cell_that_raises_leaves_no_output_file(command, monkeypatch,
+                                                  tmp_path):
+    run_cell = statements.run_cell
+    calls = []
+
+    def third_cell_raises(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("builder failed")
+        return run_cell(*args)
+
+    monkeypatch.setattr(statements, "run_cell", third_cell_raises)
+    path = tmp_path / "out.json"
+    with pytest.raises(RuntimeError, match="builder failed"):
+        main([command, "--statement", "guozeng_01", "--jobs", "1",
+              "--format", "json", "--output", str(path)])
+    assert len(calls) == 3
+    assert not path.exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+@pytest.mark.parametrize("argv", [
+    ["compute", "euler-numbers", "--count", "400"],
+    ["verify", "--statement", "guozeng_01", "--n", "451", "--jobs", "1"],
+])
+def test_integers_past_the_str_digit_limit_print(argv, capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    out = capsys.readouterr().out
+    assert max(map(len, re.findall(r"\d+", out))) > 640
+
+
+def _traced_peak(argv):
+    """Bytes by which main(argv) raises the traced peak."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_report_json_memory_is_bounded_by_the_batch(tmp_path):
+    path = tmp_path / "out"
+    argv = ["report", "--statement", "identity_t0,cong_t0a,guozeng_01",
+            "--jobs", "1", "--output", str(path)]
+    assert main([*argv, "--format", "json"]) == 0  # warm the caches
+    text = _traced_peak([*argv, "--format", "text"])
+    encoded = _traced_peak([*argv, "--format", "json"])
+    assert encoded - text < 2 * path.stat().st_size
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_number_list_memory_is_bounded_by_the_batch(fmt, tmp_path):
+    path = tmp_path / "out"
+    argv = ["compute", "cyclotomic", "--n", "200003", "--format", fmt,
+            "--output", str(path)]
+    assert main(argv) == 0  # Phi_200003 is cached from here on
+    assert _traced_peak(argv) < 4 * path.stat().st_size

@@ -9,13 +9,29 @@ from qcong.cyclotomic import (
     CycloModulus,
     cyclotomic,
     divisors,
-    euler_phi,
     factor_q_integer,
     is_prime,
-    mobius,
     phi_valuation,
     prime_factors,
 )
+
+
+def euler_phi(n: int) -> int:
+    if n < 1:
+        raise ValueError("n must be positive")
+    out = n
+    for p in prime_factors(n):
+        out -= out // p
+    return out
+
+
+def mobius(n: int) -> int:
+    if n < 1:
+        raise ValueError("n must be positive")
+    ps = prime_factors(n)
+    if any(n % (p * p) == 0 for p in ps):
+        return 0
+    return (-1) ** len(ps)
 
 
 def test_divisors():

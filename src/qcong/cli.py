@@ -453,7 +453,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse uses 2 for usage errors and 0 for --help
         return int(e.code or 0)
-    # exact integers of any length print, in fork-started pool workers too
+    # exact integers of any length print
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
@@ -203,9 +204,13 @@ def check_int_congruence(lhs, rhs, modulus: int) -> Verdict:
                 note=f"{side} denominator {val.denominator} shares a factor with {modulus}",
             )
     diff = a - b
+    # str(Decimal(n)) has every digit of n, whatever the int-to-str limit
+    text = str(Decimal(diff.numerator))
+    if diff.denominator != 1:
+        text += f"/{Decimal(diff.denominator)}"
     if diff.numerator % modulus == 0:
-        return Verdict(Status.HOLDS, note=f"difference {diff} = 0 (mod {modulus})")
-    return Verdict(Status.FAILS, note=f"difference {diff} != 0 (mod {modulus})")
+        return Verdict(Status.HOLDS, note=f"difference {text} = 0 (mod {modulus})")
+    return Verdict(Status.FAILS, note=f"difference {text} != 0 (mod {modulus})")
 
 
 class CanonicalRep(namedtuple("CanonicalRep", "scale poly")):

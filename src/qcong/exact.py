@@ -65,7 +65,7 @@ def _strip(coeffs):
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
         n -= 1
-    return tuple(coeffs[:n])
+    return tuple(coeffs if n == len(coeffs) else coeffs[:n])  # one copy
 
 
 def _mk(coeffs) -> "Poly":

@@ -32,6 +32,7 @@ check_congruence reads the margins from the unreduced difference.
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import namedtuple
 from fractions import Fraction
@@ -936,9 +937,9 @@ def verify(tag, grid=None, variant: str | None = None, jobs: int = 1):
     where variant or grid is None; grid and variant must then be None.
 
     Returns one list of records sorted by (statement, variant, params).
-    With jobs > 1 every cell of every run goes through a single process
-    pool of at most min(jobs, cells) workers; otherwise the cells run in
-    order in this process.
+    With jobs > 1 every cell of every run goes to one set of at most
+    min(jobs, cells) forked workers; otherwise, or where the platform
+    cannot fork, the cells run in order in this process.
     """
     if isinstance(tag, str):
         runs = [(tag, variant, grid)]
@@ -955,13 +956,12 @@ def verify(tag, grid=None, variant: str | None = None, jobs: int = 1):
             run_grid = stmt.default_grid()
         cells.extend((run_tag, run_variant, params) for params in run_grid)
     workers = min(jobs, len(cells))
-    if workers > 1:
-        # the process-pool stack loads only in a process that opens a pool
-        from concurrent.futures import ProcessPoolExecutor
+    if workers > 1 and hasattr(os, "fork"):
+        # forkmap loads only in a process that forks workers
+        from .forkmap import fork_map
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(_run_cells, _guided_chunks(cells, workers))
-            records = [rec for chunk in chunks for rec in chunk]
+        chunks = fork_map(_run_cells, _guided_chunks(cells, workers), workers)
+        records = [rec for chunk in chunks for rec in chunk]
     else:
         records = _run_cells(cells)
     records.sort(key=lambda r: (r.statement, r.variant, r.params))

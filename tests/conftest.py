@@ -1,22 +1,22 @@
-import concurrent.futures
 import os
 
 import pytest
 
+from qcong import forkmap
+
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The max_workers of every process pool that verify opens. Two CPUs
+    """The worker count of every fork_map that verify opens. Two CPUs
     count as usable, so that `--jobs 2` is not clamped to one."""
     opened = []
+    real = forkmap.fork_map
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            opened.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def counting(fn, tasks, workers):
+        opened.append(workers)
+        return real(fn, tasks, workers)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        CountingPool)
+    monkeypatch.setattr(forkmap, "fork_map", counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     return opened

@@ -402,20 +402,59 @@ def test_record_csv_lines_end_in_newline_only(argv, capsys):
 
 def test_cli_process_loads_no_pool_or_dataclass_stack():
     # a fresh interpreter without site, so no .pth hook adds imports;
-    # jobs=1 runs cells in process and must not load the pool stack
+    # jobs=1 runs cells in process and loads not even forkmap, and the
+    # forked workers of jobs=2 need neither multiprocessing nor
+    # concurrent.futures
     src = os.path.dirname(os.path.dirname(os.path.abspath(qcong.__file__)))
     code = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "import qcong, qcong.cli\n"
+        "heavy = ('multiprocessing', 'concurrent.futures', 'dataclasses')\n"
         "qcong.verify('lemma_a2', grid=[{'n': 3}])\n"
-        "heavy = ('multiprocessing', 'concurrent.futures.process',"
-        " 'dataclasses')\n"
+        "print(sorted(m for m in (*heavy, 'qcong.forkmap')"
+        " if m in sys.modules))\n"
+        "qcong.verify('guguo', jobs=2)\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
+
+
+def test_jobs_ignore_start_method_and_digit_limit():
+    # forked workers run under the parent's state whatever start method
+    # multiprocessing is set to, and their notes print every digit
+    code = (
+        "import multiprocessing, sys\n"
+        "from qcong.cli import main\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "sys.exit(main(['verify', '--statement', 'guozeng_01',"
+        " '--n', '451,453', '--jobs', '2']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "PYTHONINTMAXSTRDIGITS": "640"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_int_note_prints_every_digit_under_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        [record] = qcong.verify("guozeng_01", grid=[{"n": 451}])
+        assert sys.get_int_max_str_digits() == 640
+        assert record.verdict.status.value == "holds"
+        assert main(["verify", "--statement", "guozeng_01", "--n", "451",
+                     "--format", "json"]) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    [printed] = json.loads(capsys.readouterr().out)
+    assert len(printed["note"]) > 640
+    assert record.verdict.note == printed["note"]
 
 
 # Every output is written a batch at a time as it is encoded. These tests

@@ -1,9 +1,12 @@
 import operator
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from qcong import exact
 from qcong.congruence import check_congruence
 from qcong.cyclotomic import factor_q_integer
 from qcong.exact import (
@@ -31,6 +34,19 @@ def test_poly_normalization():
     assert Poly([0, 0, 7]).degree == 2
     assert ZERO.leading == 0
     assert Poly([1, -3]).leading == -3
+
+
+def test_mk_copies_a_list_without_trailing_zeros_once():
+    coeffs = [1] * 10**6
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        p = exact._mk(coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p == Poly(coeffs)
+    assert peak - before <= 1.1 * sys.getsizeof(p._c)
 
 
 def test_poly_rejects_non_integer_coeffs():

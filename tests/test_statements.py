@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -273,6 +278,57 @@ def test_verify_runs_share_one_pool(pools):
         verify(runs, grid=[{"t": 1, "n": 3}])
     with pytest.raises(ValueError):
         verify(runs, variant="as_printed")
+
+
+def test_worker_exception_reaches_caller_and_no_child_is_left(monkeypatch):
+    def boom(params, variant):
+        if params["t"] == 0:
+            time.sleep(60)  # a busy worker is killed, not waited for
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(vars(REGISTRY["step_a9_0"]), "build", boom)
+    for grid in ([{"t": t, "n": n} for t in (1, 2) for n in (2, 3)],
+                 [{"t": 0, "n": 2}, {"t": 1, "n": 2}]):
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="^boom$"):
+            verify("step_a9_0", grid=grid, jobs=2)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_dead_worker_raises_child_process_error():
+    # a child that never replies must not hang verify: run it under a timeout
+    code = (
+        "import os\n"
+        "from qcong import REGISTRY, verify\n"
+        "vars(REGISTRY['step_a9_0'])['build'] = lambda p, v: os._exit(3)\n"
+        "try:\n"
+        "    verify('step_a9_0', grid=[{'t': 1, 'n': 2}, {'t': 1, 'n': 3}],"
+        " jobs=2)\n"
+        "except ChildProcessError as e:\n"
+        "    print(e)\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"worker \d+ died before it answered "
+                        r"\(exit status 3\)\nno child left\n",
+                        proc.stdout), proc.stdout
+
+
+def test_no_fork_runs_cells_in_process(monkeypatch, pools):
+    grid = [{"t": t, "n": n} for t in (0, 1, 2) for n in (2, 3)]
+    serial = verify("step_a9_0", grid=grid, jobs=1)
+    monkeypatch.delattr(os, "fork")
+    strip = lambda rs: [(r.statement, r.variant, r.params, r.verdict) for r in rs]
+    assert strip(verify("step_a9_0", grid=grid, jobs=2)) == strip(serial)
+    assert pools == []
 
 
 def test_guided_chunks_plan():

@@ -453,8 +453,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse uses 2 for usage errors and 0 for --help
         return int(e.code or 0)
-    # exact integers of any length print
+    # exact integers of any length print; the caller's limit comes back
+    limit = None
     if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
         if hasattr(args, "jobs"):
@@ -466,6 +468,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

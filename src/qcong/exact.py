@@ -458,6 +458,14 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
+def _at(p: Poly, w: int) -> int:
+    # p(2^(8w)): packed when its coefficients fit the slots, else Horner
+    try:
+        return _pack(p._c, w)
+    except OverflowError:
+        return p(1 << (8 * w))
+
+
 def _heu_gcd(a: Poly, b: Poly):
     """GCDHEU on primitive nonconstant inputs: (g, a/g, b/g) for their
     gcd g, or None when no point tried gave a certified gcd.
@@ -469,15 +477,15 @@ def _heu_gcd(a: Poly, b: Poly):
     xi > 1 + 2 min(|a|_inf, |b|_inf), let G be the primitive part of the
     polynomial whose balanced base-xi digits are gcd(a(xi), b(xi)). If G
     divides both a and b, then G is their gcd. Here xi = 2^(8w), so the
-    values come from _pack and the digits from _unpack. The first w is set
-    by the larger norm, so that both inputs fit its slots; xi then exceeds
-    1 + 2 max(|a|_inf, |b|_inf), hence the bound, and w only grows. The
-    two divisions that certify G are the cofactors.
+    digits come from _unpack. The first w is set by the smaller norm, the
+    least that the bound allows, and w only grows; an input too wide for
+    the slots is evaluated by Horner's rule (_at). The two divisions that
+    certify G are the cofactors.
     """
     n = min(len(a), len(b))
-    w = _width((2 * max(_norm(a._c), _norm(b._c)) + 1).bit_length())
+    w = _width((2 * min(_norm(a._c), _norm(b._c)) + 1).bit_length())
     for _ in range(_HEU_GCD_TRIES):
-        digits = _unpack(math.gcd(_pack(a._c, w), _pack(b._c, w)), n, w)
+        digits = _unpack(math.gcd(_at(a, w), _at(b, w)), n, w)
         # more than n digits: G would outgrow a or b and divide neither
         if digits is not None:
             g = _mk(digits).primitive()

@@ -96,15 +96,17 @@ def q_pochhammer(base_exp: int, count: int) -> Poly:
 def q_binomial(n: int, k: int) -> Poly:
     """Gaussian binomial coefficient; 0 outside 0 <= k <= n.
 
-    Stepped from 1 by [n, j] = [n, j-1] (1 - q^(n-j+1)) / (1 - q^j) for
-    j = 1..min(k, n-k) (_times_ratio), and read by _read.
+    For 2k > n it is the cached [n, n-k]; otherwise it is stepped from 1
+    by [n, j] = [n, j-1] (1 - q^(n-j+1)) / (1 - q^j) for j = 1..k
+    (_times_ratio), and read by _read.
 
     >>> q_binomial(4, 2)
     Poly([1, 1, 2, 1, 1])
     """
     if k < 0 or k > n:
         return ZERO
-    k = min(k, n - k)
+    if 2 * k > n:
+        return q_binomial(n, n - k)
     # Width: [n, j] has coefficients >= 0 that sum to C(n, j) <= C(n, k),
     # so W - 1 >= bits(C(n, k)) + 1 keeps every quotient read below within
     # what _div_one_minus_qpow can read; + 2 leaves a bit to spare.
@@ -163,6 +165,15 @@ def _read(v: int, size: int, w: int, total: int, what: str) -> Poly:
     return _mk(coeffs)
 
 
+def fk_values(n: int, alpha: int) -> tuple[int, int, int]:
+    """fk_sums at q = 1: (sum v_k, sum k v_k, sum (n-k) v_k), k < n, for
+    v_k = C(alpha+k-1, k) C(alpha+n-1, n-1-k), the value of f_k at q = 1."""
+    vals = [math.comb(alpha + k - 1, k) * math.comb(alpha + n - 1, n - 1 - k)
+            for k in range(n)]
+    return (sum(vals), sum(k * v for k, v in enumerate(vals)),
+            sum((n - k) * v for k, v in enumerate(vals)))
+
+
 def fk_sums(n: int, alpha: int) -> tuple[Poly, Poly, Poly]:
     """The sums of f_k = q^C(k+1,2) [alpha+k-1, k] [alpha+n-1, n-1-k], k < n.
 
@@ -181,10 +192,7 @@ def fk_sums(n: int, alpha: int) -> tuple[Poly, Poly, Poly]:
     """
     if n < 1 or alpha < 1:
         raise ValueError("fk_sums needs n >= 1 and alpha >= 1")
-    vals = [math.comb(alpha + k - 1, k) * math.comb(alpha + n - 1, n - 1 - k)
-            for k in range(n)]
-    want = (sum(vals), sum(k * v for k, v in enumerate(vals)),
-            sum((n - k) * v for k, v in enumerate(vals)))
+    want = fk_values(n, alpha)
     # Width: every polynomial read below has coefficients >= 0, so each
     # is bounded by its value at q = 1. These are the mid-step
     # [alpha+k, k+1] [alpha+n-1, n-1-k], each next term and the plain sum
@@ -221,6 +229,11 @@ def fk_sums(n: int, alpha: int) -> tuple[Poly, Poly, Poly]:
                  for v, total in zip((plain, weighted, double), want))
 
 
+def apery_values(n: int) -> list[int]:
+    """[n+k, k] [n-1, k] at q = 1 for k < n: C(n+k, k) C(n-1, k)."""
+    return [math.comb(n + k, k) * math.comb(n - 1, k) for k in range(n)]
+
+
 def apery_sum(n: int, r: int) -> Poly:
     """sum_(k<n) q^(r(n-k)^2 + (r-1)k) ([n+k, k] [n-1, k])^(2r).
 
@@ -235,8 +248,7 @@ def apery_sum(n: int, r: int) -> Poly:
     """
     if n < 1 or r < 1:
         raise ValueError("apery_sum needs n >= 1 and r >= 1")
-    vals = [math.comb(n + k, k) * math.comb(n - 1, k) for k in range(n)]
-    total = sum(v ** (2 * r) for v in vals)
+    total = sum(v ** (2 * r) for v in apery_values(n))
     # Width: every polynomial read below is a product of Gaussian
     # binomials, so its coefficients are >= 0 and bounded by its value at
     # q = 1. These are the powers s_k^j, j <= r, and the sum (at most
@@ -342,21 +354,34 @@ def frac_sum(terms) -> QExpr:
     return _qexpr(_mk(coeffs), ONE, 0, dict.fromkeys(ds, -1))
 
 
+def _alt_frac_sum(bound: int, offset: int, q_weight: bool) -> QExpr:
+    """sum_{k=1}^{bound} (-1)^k q^(k if q_weight) / (1 - q^(k+offset))."""
+    return frac_sum(
+        (Poly.monomial(k if q_weight else 0, (-1) ** k), k + offset)
+        for k in range(1, bound + 1)
+    )
+
+
+def _even_recip_sum(bound: int) -> QExpr:
+    """sum_{k=1}^{bound} 1/(1 - q^(2k))."""
+    return frac_sum((1, 2 * k) for k in range(1, bound + 1))
+
+
 def q_harmonic(kind: str, bound: int) -> QExpr:
     """Partial q-harmonic sum up to the given bound; 0 for bound = 0.
 
     kind "plain_even" sums 1/[2k], "alternating" sums (-1)^k/[k], and
-    "alternating_q" sums (-q)^k/[k], each for k = 1..bound, through
-    frac_sum with 1/[k] = (1 - q)/(1 - q^k).
+    "alternating_q" sums (-q)^k/[k], each for k = 1..bound. With
+    1/[k] = (1 - q)/(1 - q^k), each is 1 - q, kept factored, times a sum
+    of c/(1 - q^m).
     """
-    one_minus_q = Poly([1, -1])
-    term = {
-        "plain_even": lambda k: (one_minus_q, 2 * k),
-        "alternating": lambda k: ((-1) ** k * one_minus_q, k),
-        "alternating_q": lambda k: ((-1) ** k * one_minus_q.shifted(k), k),
+    recips = {
+        "plain_even": _even_recip_sum,
+        "alternating": lambda b: _alt_frac_sum(b, 0, q_weight=False),
+        "alternating_q": lambda b: _alt_frac_sum(b, 0, q_weight=True),
     }.get(kind)
-    if term is None:
+    if recips is None:
         raise ValueError(f"unknown harmonic kind {kind!r}")
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    return frac_sum(map(term, range(1, bound + 1)))
+    return one_minus_qpow(1) * recips(bound)

@@ -43,8 +43,12 @@ from .cyclotomic import CycloModulus, factor_q_integer, is_prime
 from .euler import euler_polynomial_value
 from .exact import ONE, Poly, QExpr
 from .qcombinatorics import (
+    _alt_frac_sum,
+    _even_recip_sum,
     apery_sum,
+    apery_values,
     fk_sums,
+    fk_values,
     frac_sum,
     one_minus_qpow,
     q_binomial,
@@ -97,35 +101,21 @@ def evaluate_built(built) -> Verdict:
 # ---------------------------------------------------------------------------
 # small builders shared by several statements
 
-def _phi(n: int, e: int = 1) -> CycloModulus:
-    return CycloModulus.phi(n, e)
-
-
-def _alt_frac_sum(bound: int, offset: int, q_weight: bool) -> QExpr:
-    """sum_{k=1}^{bound} (-1)^k q^(k if q_weight) / (1 - q^(k+offset))."""
-    return frac_sum(
-        (Poly.monomial(k if q_weight else 0, (-1) ** k), k + offset)
-        for k in range(1, bound + 1)
-    )
-
-
-def _even_recip_sum(bound: int) -> QExpr:
-    """sum_{k=1}^{bound} 1/(1 - q^(2k))."""
-    return frac_sum((1, 2 * k) for k in range(1, bound + 1))
-
-
 def _fermat_over_1mq(n: int) -> QExpr:
     return q_fermat_quotient(2, n) / one_minus_qpow(1)
 
 
 def m_star(n: int, alpha: int) -> int:
-    """sum_k C(alpha+k-1, k) C(alpha+n, n-k), an exact integer."""
+    """sum_k C(alpha+k-1, k) C(alpha+n, n-k): sum f_k at q = 1, n+1 terms."""
     if n < 0 or alpha < 1:
         raise ValueError("need n >= 0 and alpha >= 1")
-    return sum(
-        math.comb(alpha + k - 1, k) * math.comb(alpha + n, n - k)
-        for k in range(n + 1)
-    )
+    return fk_values(n + 1, alpha)[0]
+
+
+def _corner(n: int, alpha: int) -> Poly:
+    """[n-1, alpha-1] [n+alpha-1, alpha-1]: the t1 term f_(n-alpha)
+    without its q-power."""
+    return q_binomial(n - 1, alpha - 1) * q_binomial(n + alpha - 1, alpha - 1)
 
 
 def _fermat_quotient_rational(p: int, variant: str) -> Fraction:
@@ -195,19 +185,19 @@ def _build_t1(p, variant):
     lhs = QExpr(fk_sums(n, a)[0])
     # k = 0 term (step_a11_a12) plus the k >= 1 tail (step_a10)
     rhs = _a10_rhs(n, a) + qint(n) / qint(a)
-    return QCongruence(lhs, rhs, _phi(n, 2))
+    return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_t2(p, variant):
     n, a = p["n"], p["alpha"]
     # step_b1 (corrected) followed by step_b7
     rhs = -QExpr(q_integer(n)) - _b7_rhs(n, a)
-    return QCongruence(QExpr(fk_sums(n, a)[2]), rhs, _phi(n, 2))
+    return QCongruence(QExpr(fk_sums(n, a)[2]), rhs, CycloModulus.phi(n, 2))
 
 
 def _build_cor1a(p, variant):
     pp, a = p["p"], p["alpha"]
-    lhs = Fraction(m_star(pp - 1, a))
+    lhs = Fraction(fk_values(pp, a)[0])
     qp2 = _fermat_quotient_rational(pp, variant)
     rhs = (
         -1
@@ -219,12 +209,7 @@ def _build_cor1a(p, variant):
 
 def _build_cor1b(p, variant):
     pp, a = p["p"], p["alpha"]
-    lhs = Fraction(
-        sum(
-            (pp - k) * math.comb(a + k - 1, k) * math.comb(a + pp - 1, pp - 1 - k)
-            for k in range(pp)
-        )
-    )
+    lhs = Fraction(fk_values(pp, a)[2])
     qp2 = _fermat_quotient_rational(pp, variant)
     rhs = (
         -a
@@ -244,7 +229,7 @@ def _build_pan1(p, variant):
     np = qint(pp)
     lhs = 2 * q_harmonic("plain_even", (pp - 1) // 2) + 2 * qp - qp ** 2 * np
     rhs = (qp * one_minus_q + Fraction(pp * pp - 1, 8) * one_minus_q ** 2) * np
-    return QCongruence(lhs, rhs, _phi(pp, 2))
+    return QCongruence(lhs, rhs, CycloModulus.phi(pp, 2))
 
 
 def _build_pan2(p, variant):
@@ -259,21 +244,19 @@ def _build_pan2(p, variant):
         - Fraction(pp - 1, 2) * one_minus_q
         - Fraction(pp * pp - 1, 24) * one_minus_q ** 2 * np
     )
-    return QCongruence(lhs, rhs, _phi(pp, 2))
+    return QCongruence(lhs, rhs, CycloModulus.phi(pp, 2))
 
 
 def _build_guozeng(p, variant):
     n = p["n"]
-    total = sum(
-        math.comb(n + k, k) ** 2 * math.comb(n - 1, k) ** 2 for k in range(n)
-    )
+    total = sum(v * v for v in apery_values(n))
     return IntCongruence(Fraction(total), Fraction(0), n)
 
 
 def _build_guguo(p, variant):
     n = p["n"]
     rhs = QExpr(q_integer(n).shifted(1))
-    return QCongruence(QExpr(apery_sum(n, 1)), rhs, _phi(n, 2))
+    return QCongruence(QExpr(apery_sum(n, 1)), rhs, CycloModulus.phi(n, 2))
 
 
 def _build_gsz(p, variant):
@@ -292,23 +275,26 @@ def _build_lemma_a1(p, variant):
     n = p["n"]
     lhs = _alt_frac_sum(n - 1, 0, q_weight=False)
     rhs = 2 * _even_recip_sum((n - 1) // 2) - Fraction(n - 1, 2)
-    return QCongruence(lhs, rhs, _phi(n))
+    return QCongruence(lhs, rhs, CycloModulus.phi(n))
 
 
 def _build_lemma_a2(p, variant):
     n = p["n"]
     lhs = _even_recip_sum((n - 1) // 2)
-    return QCongruence(lhs, -_fermat_over_1mq(n), _phi(n))
+    return QCongruence(lhs, -_fermat_over_1mq(n), CycloModulus.phi(n))
 
 
-def _build_a3(p, variant):
+def _build_a3(p, variant, q_weight=False):
     n, a = p["n"], p["alpha"]
-    lhs = _alt_frac_sum(n - 1, a, q_weight=False)
-    # -2 sum_(k<=alpha) (-1)^k/(1 - q^k) - 1/(1 - q^n) + 1/(1 - q^alpha)
-    recips = frac_sum([(-2 * (-1) ** k, k) for k in range(1, a + 1)]
-                      + [(-1, n), (1, a)])
+    e = 1 if q_weight else 0
+    lhs = _alt_frac_sum(n - 1, a, q_weight)
+    # -2 sum_(k<=alpha) (-1)^k q^(ek)/(1 - q^k) - q^(en)/(1 - q^n)
+    # + q^(e alpha)/(1 - q^alpha)
+    recips = frac_sum(
+        [(Poly.monomial(e * k, -2 * (-1) ** k), k) for k in range(1, a + 1)]
+        + [(Poly.monomial(e * n, -1), n), (Poly.monomial(e * a), a)])
     rhs = recips - 2 * _fermat_over_1mq(n) - Fraction(n - 1, 2)
-    return QCongruence(lhs, rhs, _phi(n))
+    return QCongruence(lhs, rhs.shifted(-e * a), CycloModulus.phi(n))
 
 
 def _build_a4(p, variant):
@@ -319,21 +305,15 @@ def _build_a4(p, variant):
         * QExpr((-1) ** k).shifted(-math.comb(k + 1, 2))
         / (one_minus_qpow(a + k) * qbinom(a + k - 1, k))
     )
-    return QCongruence(lhs, rhs, _phi(n, 2))
-
-
-def _a_corner(n: int, alpha: int) -> Poly:
-    return (
-        q_binomial(n - 1, n - alpha) * q_binomial(n + alpha - 1, alpha - 1)
-    ).shifted(math.comb(n - alpha + 1, 2))
+    return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_a5(p, variant):
     n, a = p["n"], p["alpha"]
     tail = fk_sums(n, a)[0] - q_binomial(a + n - 1, n - 1)
-    lhs = QExpr(tail - _a_corner(n, a))
+    lhs = QExpr(tail - _corner(n, a).shifted(math.comb(n - a + 1, 2)))
     rhs = one_minus_qpow(n) * _alt_frac_sum(n - 1, a, q_weight=False) + 1
-    return QCongruence(lhs, rhs, _phi(n, 2))
+    return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_a6(p, variant):
@@ -346,7 +326,7 @@ def _build_a6(p, variant):
         * QExpr(1).shifted(math.comb(a, 2))
         * (1 + one_minus_qpow(n) * ratio_sum)
     )
-    return QCongruence(lhs, rhs, _phi(n, 2))
+    return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_a7(p, variant):
@@ -358,43 +338,43 @@ def _build_a7(p, variant):
     else:
         inner = 1 - one_minus_qpow(n) * recip_sum
     rhs = QExpr((-1) ** (a - 1)).shifted(-math.comb(a, 2)) * inner
-    return QCongruence(lhs, rhs, _phi(n, 2))
+    return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_a8(p, variant):
     n, a = p["n"], p["alpha"]
-    lhs = QExpr(q_binomial(n - 1, a - 1) * q_binomial(n + a - 1, a - 1))
+    lhs = QExpr(_corner(n, a))
     rhs = QExpr(1).shifted(-math.comb(a, 2)) * (
         (a - 1) * one_minus_qpow(n) - 1
     )
-    return QCongruence(lhs, rhs, _phi(n, 2))
+    return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_a9_0(p, variant):
     t, n = p["t"], p["n"]
     lhs = QExpr(1).shifted(t * n)
     rhs = 1 - t * one_minus_qpow(n)
-    return QCongruence(lhs, rhs, _phi(n, 2))
+    return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_a9(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(1).shifted(n * (n - 2 * a + 1) // 2)
     rhs = 1 + Fraction(2 * a - n - 1, 2) * one_minus_qpow(n)
-    return QCongruence(lhs, rhs, _phi(n, 2))
+    return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_a10(p, variant):
     n, a = p["n"], p["alpha"]
     tail = fk_sums(n, a)[0] - q_binomial(a + n - 1, n - 1)
-    return QCongruence(QExpr(tail), _a10_rhs(n, a), _phi(n, 2))
+    return QCongruence(QExpr(tail), _a10_rhs(n, a), CycloModulus.phi(n, 2))
 
 
 def _build_a11_a12(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(q_binomial(a + n - 1, n - 1))
     rhs = qint(n) / qint(a)
-    return QCongruence(lhs, rhs, _phi(n, 2))
+    return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_b1(p, variant):
@@ -405,15 +385,12 @@ def _build_b1(p, variant):
         rhs = qn - QExpr(weighted)
     else:
         rhs = -qn - QExpr(weighted)
-    return QCongruence(QExpr(double), rhs, _phi(n, 2))
+    return QCongruence(QExpr(double), rhs, CycloModulus.phi(n, 2))
 
 
 def _b_corner(n: int, alpha: int) -> Poly:
-    return (
-        q_integer(n - alpha)
-        * q_binomial(n - 1, n - alpha)
-        * q_binomial(alpha + n - 1, n)
-    ).shifted(math.comb(n - alpha + 1, 2))
+    return (q_integer(n - alpha) * _corner(n, alpha)).shifted(
+        math.comb(n - alpha + 1, 2))
 
 
 def _build_b2(p, variant):
@@ -421,39 +398,26 @@ def _build_b2(p, variant):
     lhs = QExpr(fk_sums(n, a)[1] - _b_corner(n, a))
     tail = frac_sum(((-1) ** k * q_integer(k), k + a) for k in range(1, n))
     rhs = one_minus_qpow(n) * tail + QExpr(q_integer(n - a))
-    return QCongruence(lhs, rhs, _phi(n, 2))
+    return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_b3(p, variant):
     n = p["n"]
     lhs = _alt_frac_sum(n - 1, 0, q_weight=True)
     rhs = -Fraction(n - 1, 2) - 2 * _fermat_over_1mq(n)
-    return QCongruence(lhs, rhs, _phi(n))
+    return QCongruence(lhs, rhs, CycloModulus.phi(n))
 
 
 def _build_b4(p, variant):
-    n, a = p["n"], p["alpha"]
-    lhs = _alt_frac_sum(n - 1, a, q_weight=True)
-    # -2 sum_(k<=alpha) (-q)^k/[k] - q^n/[n] + q^alpha/[alpha], each
-    # q^k/[k] as (1 - q) q^k/(1 - q^k)
-    one_minus_q = Poly([1, -1])
-    recips = frac_sum(
-        [(-2 * (-1) ** k * one_minus_q.shifted(k), k) for k in range(1, a + 1)]
-        + [(-one_minus_q.shifted(n), n), (one_minus_q.shifted(a), a)])
-    inner = (
-        Fraction(1 - n, 2) * one_minus_qpow(1)
-        - 2 * q_fermat_quotient(2, n)
-        + recips
-    )
-    rhs = inner.shifted(-a) / one_minus_qpow(1)
-    return QCongruence(lhs, rhs, _phi(n))
+    # step_a3 with each reciprocal weighted by its q-power, shifted by -alpha
+    return _build_a3(p, variant, q_weight=True)
 
 
 def _build_b5(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(1).shifted(n * (n - 2 * a + 1) // 2 - a)
     rhs = (1 + Fraction(2 * a - n - 1, 2) * one_minus_qpow(n)).shifted(-a)
-    return QCongruence(lhs, rhs, _phi(n, 2))
+    return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_b6(p, variant):
@@ -467,12 +431,12 @@ def _build_b6(p, variant):
         # reinstates the halved coefficient used by the q-power expansion
         bracket = (2 + (2 * a - n - 1) * one_minus_qpow(n)) / 2
     rhs = bracket * QExpr(core).shifted(-a)
-    return QCongruence(lhs, rhs, _phi(n, 2))
+    return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_b7(p, variant):
     n, a = p["n"], p["alpha"]
-    return QCongruence(QExpr(fk_sums(n, a)[1]), _b7_rhs(n, a), _phi(n, 2))
+    return QCongruence(QExpr(fk_sums(n, a)[1]), _b7_rhs(n, a), CycloModulus.phi(n, 2))
 
 
 def _euler_form(m: int, x: int) -> Fraction:
@@ -531,14 +495,6 @@ def _theorem_grid(n_hi):
         for n in range(3, n_hi + 1, 2)
         for a in range(2, n + 1, 2)
     ]
-
-
-def _grid_t1():
-    return _theorem_grid(25)
-
-
-def _grid_steps():
-    return _theorem_grid(15)
 
 
 def _grid_a4():
@@ -606,14 +562,14 @@ _STATEMENTS = [
         "weighted q-binomial sum = harmonic/Fermat-quotient combination mod Phi_n^2",
         _build_t1,
         _hyp_theorem,
-        _grid_t1,
+        lambda: _theorem_grid(25),
     ),
     Statement(
         "t2",
         "doubly weighted q-binomial sum = q-shifted combination mod Phi_n^2",
         _build_t2,
         _hyp_theorem,
-        _grid_t1,
+        lambda: _theorem_grid(25),
     ),
     Statement(
         "cor1a",
@@ -691,7 +647,7 @@ _STATEMENTS = [
         "shifted alternating reciprocal sum reduced mod Phi_n",
         _build_a3,
         _hyp_theorem,
-        _grid_steps,
+        lambda: _theorem_grid(15),
     ),
     Statement(
         "step_a4",
@@ -708,21 +664,21 @@ _STATEMENTS = [
         "corner-adjusted weighted q-binomial sum mod Phi_n^2",
         _build_a5,
         _hyp_theorem,
-        _grid_steps,
+        lambda: _theorem_grid(15),
     ),
     Statement(
         "step_a6",
         "q-binomial ratio expansion with (1+q^i)/(1-q^i) sum mod Phi_n^2",
         _build_a6,
         _hyp_theorem,
-        _grid_steps,
+        lambda: _theorem_grid(15),
     ),
     Statement(
         "step_a7",
         "q-binomial expansion with reciprocal sum mod Phi_n^2",
         _build_a7,
         _hyp_theorem,
-        _grid_steps,
+        lambda: _theorem_grid(15),
         canonical_variant="corrected",
         note="the printed form omits the (1-q^n) factor on the reciprocal"
         " sum; the corrected variant restores it",
@@ -732,7 +688,7 @@ _STATEMENTS = [
         "product of two q-binomials reduced mod Phi_n^2",
         _build_a8,
         _hyp_theorem,
-        _grid_steps,
+        lambda: _theorem_grid(15),
     ),
     Statement(
         "step_a9_0",
@@ -746,28 +702,28 @@ _STATEMENTS = [
         "triangular q-power exponent linearized mod Phi_n^2",
         _build_a9,
         _hyp_a9,
-        _grid_steps,
+        lambda: _theorem_grid(15),
     ),
     Statement(
         "step_a10",
         "tail of the t1 sum (k >= 1) reduced mod Phi_n^2",
         _build_a10,
         _hyp_theorem,
-        _grid_steps,
+        lambda: _theorem_grid(15),
     ),
     Statement(
         "step_a11_a12",
         "k = 0 term of the t1 sum equals [n]/[alpha] mod Phi_n^2",
         _build_a11_a12,
         _hyp_theorem,
-        _grid_steps,
+        lambda: _theorem_grid(15),
     ),
     Statement(
         "step_b1",
         "double sum telescoped to a [k]-weighted sum mod Phi_n^2",
         _build_b1,
         _hyp_theorem,
-        _grid_steps,
+        lambda: _theorem_grid(15),
         canonical_variant="corrected",
         note="the printed leading term [n] has the wrong sign; the"
         " corrected variant uses -[n]",
@@ -777,7 +733,7 @@ _STATEMENTS = [
         "[k]-weighted sum minus corner term in reciprocal form mod Phi_n^2",
         _build_b2,
         _hyp_theorem,
-        _grid_steps,
+        lambda: _theorem_grid(15),
     ),
     Statement(
         "step_b3",
@@ -791,21 +747,21 @@ _STATEMENTS = [
         "shifted q-weighted alternating reciprocal sum mod Phi_n",
         _build_b4,
         _hyp_theorem,
-        _grid_steps,
+        lambda: _theorem_grid(15),
     ),
     Statement(
         "step_b5",
         "second triangular q-power exponent linearized mod Phi_n^2",
         _build_b5,
         _hyp_a9,
-        _grid_steps,
+        lambda: _theorem_grid(15),
     ),
     Statement(
         "step_b6",
         "corner product reduced to q-integer combination mod Phi_n^2",
         _build_b6,
         _hyp_theorem,
-        _grid_steps,
+        lambda: _theorem_grid(15),
         canonical_variant="corrected",
         note="the printed bracket drops a factor 1/2 on (2 alpha - n - 1);"
         " the printed form only coincides when alpha = (n+1)/2",
@@ -815,7 +771,7 @@ _STATEMENTS = [
         "[k]-weighted sum reduced to the t2 combination mod Phi_n^2",
         _build_b7,
         _hyp_theorem,
-        _grid_steps,
+        lambda: _theorem_grid(15),
     ),
     Statement(
         "identity_t0",

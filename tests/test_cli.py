@@ -538,6 +538,23 @@ def test_integers_past_the_str_digit_limit_print(argv, capsys):
     assert max(map(len, re.findall(r"\d+", out))) > 640
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_main_restores_the_callers_str_digit_limit(tmp_path):
+    path = tmp_path / "euler.txt"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(["compute", "euler-numbers", "--count", "2000",
+                     "--output", str(path)])
+        after = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert after == 640
+    assert max(map(len, re.findall(r"\d+", path.read_text()))) == 5344
+
+
 def _traced_peak(argv):
     """Bytes by which main(argv) raises the traced peak."""
     tracing = tracemalloc.is_tracing()

@@ -239,6 +239,22 @@ def test_gcd_matches_prs(monkeypatch):
     assert widths == [1, 2]
 
 
+def test_gcd_first_point_follows_the_smaller_norm(monkeypatch):
+    # the CGG bound needs xi > 1 + 2 min(|a|_inf, |b|_inf), so the 4-bit
+    # input sets a 1-byte first slot and the 200-bit one is evaluated there
+    # by Horner's rule
+    rng = random.Random(SEED + 6)
+    a, b = rand_poly(rng, 500, 4), rand_poly(rng, 500, 200)
+    widths = []
+    unpack = ex._unpack
+    monkeypatch.setattr(ex, "_unpack",
+                        lambda v, n, w: widths.append(w) or unpack(v, n, w))
+    cofactors = []
+    assert gcd_rational(a, b, cofactors=cofactors) == ONE
+    assert widths[0] == 1
+    assert cofactors == [a, b]
+
+
 def test_gcd_falls_back_to_prs(monkeypatch):
     rng = random.Random(SEED + 5)
     cases = list(_gcd_cases(rng))

@@ -10,11 +10,16 @@ from qcong.exact import ONE, Poly, QExpr, ZERO
 from qcong.cyclotomic import cyclotomic, divisors, phi_valuation
 from qcong import exact, qcombinatorics
 from qcong.qcombinatorics import (
+    _alt_frac_sum,
     _div_one_minus_qpow,
+    _even_recip_sum,
     _times_ratio,
     apery_sum,
+    apery_values,
     fk_sums,
+    fk_values,
     frac_sum,
+    one_minus_qpow,
     q_binomial,
     q_fermat_quotient,
     q_harmonic,
@@ -307,6 +312,32 @@ def test_q_harmonic_matches_slow_reference():
         assert q_harmonic("alternating_q", k) == altq
 
 
+def test_q_harmonic_is_one_minus_q_times_a_reciprocal_sum():
+    # 1/[k] = (1 - q)/(1 - q^k); the reference adds one QExpr per term
+    q = Poly([0, 1])
+    terms = {
+        "plain_even": lambda k: QExpr(1, ONE - q ** (2 * k)),
+        "alternating": lambda k: QExpr((-1) ** k, ONE - q ** k),
+        "alternating_q": lambda k: QExpr(Poly.monomial(k, (-1) ** k),
+                                         ONE - q ** k),
+    }
+    sums = {
+        "plain_even": _even_recip_sum,
+        "alternating": lambda b: _alt_frac_sum(b, 0, False),
+        "alternating_q": lambda b: _alt_frac_sum(b, 0, True),
+    }
+    for kind, term in terms.items():
+        ref = QExpr(0)
+        for bound in range(13):
+            if bound:
+                ref = ref + term(bound)
+            h = q_harmonic(kind, bound)
+            assert h == one_minus_qpow(1) * ref
+            assert h == one_minus_qpow(1) * sums[kind](bound)
+            # the 1 - q cancels frac_sum's Phi_1 and enters no numerator
+            assert 1 not in h._phis
+
+
 def test_q_harmonic_q1_shadow():
     # at q=1 the sums collapse to classical harmonic-type sums
     h = q_harmonic("alternating", 5)(1)
@@ -431,3 +462,33 @@ def test_frac_sum_checks_its_digit_sum(monkeypatch):
                         lambda v, n, w: off_by_one(unpack(v, n, w)))
     with pytest.raises(ArithmeticError):
         q_harmonic("alternating", 10)
+
+
+def test_fk_values_are_fk_sums_at_q1():
+    for n in range(1, 16, 2):
+        for alpha in range(1, 17):
+            assert fk_values(n, alpha) == tuple(
+                f(1) for f in fk_sums(n, alpha))
+
+
+def test_apery_values_power_sums_are_apery_sum_at_q1():
+    for n in range(1, 13):
+        for r in range(1, 4):
+            assert sum(v ** (2 * r) for v in apery_values(n)) == \
+                apery_sum(n, r)(1)
+
+
+def test_q_binomial_builds_each_mirrored_pair_once(monkeypatch):
+    steps = []
+    step = qcombinatorics._times_ratio
+    monkeypatch.setattr(qcombinatorics, "_times_ratio",
+                        lambda *a: steps.append(a) or step(*a))
+    for n, k in ((9, 2), (10, 7), (12, 6), (25, 1), (7, 0)):
+        q_binomial.cache_clear()
+        first = q_binomial(n, n - k)
+        built = len(steps)
+        assert built == min(k, n - k)
+        assert q_binomial(n, k) is first
+        assert len(steps) == built
+        del steps[:]
+        assert first(1) == math.comb(n, k)

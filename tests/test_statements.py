@@ -14,7 +14,8 @@ from qcong.congruence import Status, check_congruence
 from qcong.cyclotomic import CycloModulus, cyclotomic
 from qcong.exact import ONE, Poly, QExpr
 from qcong.qcombinatorics import (
-    fk_sums, q_binomial, q_fermat_quotient, q_integer, q_pochhammer,
+    _alt_frac_sum, _even_recip_sum, fk_sums, q_binomial, q_fermat_quotient,
+    q_integer, q_pochhammer,
 )
 from qcong.statements import (
     REGISTRY,
@@ -23,10 +24,9 @@ from qcong.statements import (
     QCongruence,
     RationalIdentity,
     VerdictRecord,
-    _alt_frac_sum,
-    _even_recip_sum,
-    _grid_steps,
+    _corner,
     _guided_chunks,
+    _theorem_grid,
     evaluate_built,
     m_star,
     run_cell,
@@ -167,7 +167,7 @@ def _one_minus_qpow(m):
 def test_reciprocal_sums_match_term_by_term_reference():
     # the reference adds one QExpr per term
     zero = QExpr(0)
-    for cell in _grid_steps():
+    for cell in _theorem_grid(15):
         n, a = cell["n"], cell["alpha"]
         ks = range(1, n)
         for offset in (0, a):
@@ -223,6 +223,23 @@ def test_m_star_examples_and_q1_bridge():
         assert fk_sums(n, alpha)[0](1) == m_star(n - 1, alpha)
     with pytest.raises(ValueError):
         m_star(2, 0)
+
+
+def test_m_star_matches_the_direct_binomial_sum():
+    for n in range(31):
+        for alpha in range(1, 13):
+            assert m_star(n, alpha) == sum(
+                math.comb(alpha + k - 1, k) * math.comb(alpha + n, n - k)
+                for k in range(n + 1))
+
+
+def test_corner_is_the_t1_term_at_k_equal_n_minus_alpha():
+    for cell in REGISTRY["t1"].default_grid():
+        n, a = cell["n"], cell["alpha"]
+        k = n - a
+        term = (q_binomial(a + k - 1, k)
+                * q_binomial(a + n - 1, n - 1 - k)).shifted(math.comb(k + 1, 2))
+        assert _corner(n, a).shifted(math.comb(n - a + 1, 2)) == term
 
 
 def test_t2_double_sum_at_q1_is_cor1b_lhs():

@@ -30,6 +30,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 PARAM_FLAGS = ("n", "alpha", "p", "k", "r", "m", "t")
+_PARAM_OPTS = {f"--{name}" for name in PARAM_FLAGS}
 
 _RANGE_ITEM = re.compile(r"(-?\d+)\.\.(-?\d+)(?::(odd|even))?$")
 
@@ -146,6 +147,12 @@ def _write_out(pieces, path):
         for last in pieces:
             fh.write(last)
         fh.write("" if last.endswith("\n") else "\n")
+        fh.flush()
+    except BrokenPipeError:
+        if path is not None:
+            raise
+        # the reader quit: the rest, and the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fh.fileno())
     finally:
         if path is not None:
             fh.close()
@@ -448,6 +455,11 @@ def resolve_jobs(jobs):
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse reads a value such as -3..4 as an option: join it to its flag
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in _PARAM_OPTS and re.match(r"-\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -462,10 +474,7 @@ def main(argv=None) -> int:
         if hasattr(args, "jobs"):
             args.jobs = resolve_jobs(args.jobs)
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
+    except (UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -292,7 +292,7 @@ def q_fermat_quotient(m: int, n: int) -> QExpr:
     ratio = ONE
     for j in range(1, n):
         ratio = sum((ratio.shifted(i * j) for i in range(m)), ZERO)
-    return _qexpr(ratio - 1, ONE, 0, dict.fromkeys(divisors(n)[1:], -1))
+    return (ratio - 1) / qint(n)
 
 
 def frac_sum(terms) -> QExpr:

@@ -13,13 +13,9 @@ statement's canonical variant names the one believed true. Nothing is
 silently substituted.
 
 No closed forms are used anywhere, so verification exercises the same
-objects the statements manipulate. The sums of the theorem terms
-f_k = q^C(k+1,2) [alpha+k-1, k] [alpha+n-1, n-1-k] come from fk_sums,
-which steps from one term to the next by their exact ratio on a packed
-integer; the Apery-type left sides of guguo and gsz_03 come from
-apery_sum, stepped the same way; sums of c/(1 - q^m) add their terms on
-one packed integer over the known common denominator, a product of
-cyclotomic polynomials (frac_sum).
+objects the statements manipulate: the sums of the theorem terms f_k
+(fk_sums), the Apery-type sums of guguo and gsz_03 (apery_sum) and the
+sums of c/(1 - q^m) (frac_sum) are formed as qcombinatorics describes.
 
 Every denominator is built factored: frac_sum's common denominator, the
 1/[n] of the q-Fermat quotient, and the [n] (qint), 1 - q^m
@@ -27,6 +23,10 @@ Every denominator is built factored: frac_sum's common denominator, the
 carry their cyclotomic factors as QExpr exponent maps. No builder takes
 a gcd; a value is reduced only when it is observed, and
 check_congruence reads the margins from the unreduced difference.
+
+step_a5-a8 and step_b6 take step_a9_0's q^(tn) = 1 - t (1 - q^n)
+(mod Phi_n^2) at an int or QExpr t (_first_order); step_a9 is step_a9_0
+at t = (n + 1)/2 - alpha, and step_b5 is step_a9 times q^(-alpha).
 """
 
 from __future__ import annotations
@@ -105,6 +105,11 @@ def _fermat_over_1mq(n: int) -> QExpr:
     return q_fermat_quotient(2, n) / one_minus_qpow(1)
 
 
+def _first_order(n: int, t) -> QExpr:
+    """1 - t (1 - q^n): step_a9_0's expansion of q^(tn) mod Phi_n^2."""
+    return 1 - t * one_minus_qpow(n)
+
+
 def m_star(n: int, alpha: int) -> int:
     """sum_k C(alpha+k-1, k) C(alpha+n, n-k): sum f_k at q = 1, n+1 terms."""
     if n < 0 or alpha < 1:
@@ -163,10 +168,10 @@ def _a10_rhs(n: int, alpha: int) -> QExpr:
     """The step_a10 reduction of the k >= 1 tail of the t1 sum."""
     qn, qa = q_integer(n), q_integer(alpha)
     return (
-        2 * QExpr(qn * Poly([1, -1]))
+        2 * one_minus_qpow(n)
         + QExpr(qn * (2 * Poly.monomial(alpha) - ONE) - qa) / qint(alpha)
-        - 2 * qint(n) * q_fermat_quotient(2, n)
-        - 2 * qint(n) * q_harmonic("alternating", alpha)
+        - 2 * qint(n)
+        * (q_fermat_quotient(2, n) + q_harmonic("alternating", alpha))
     )
 
 
@@ -261,11 +266,10 @@ def _build_guguo(p, variant):
 
 def _build_gsz(p, variant):
     n, r = p["n"], p["r"]
-    qn = q_integer(n)
     rhs = (
-        QExpr(qn.shifted((r - 1) * n + 1))
+        QExpr(q_integer(n).shifted((r - 1) * n + 1))
         - Fraction(r * (2 * r - 1) * (n - 1) ** 2, 4)
-        * QExpr(Poly([1, -1]) ** 2 * qn ** 3).shifted(1)
+        * (one_minus_qpow(n) ** 2 * qint(n)).shifted(1)
     )
     return QCongruence(QExpr(apery_sum(n, r)), rhs,
                        factor_q_integer(n).raised_at(n, 3))
@@ -301,10 +305,9 @@ def _build_a4(p, variant):
     n, a, k = p["n"], p["alpha"], p["k"]
     lhs = QExpr(q_binomial(a + n - 1, a + k))
     rhs = (
-        one_minus_qpow(n)
-        * QExpr((-1) ** k).shifted(-math.comb(k + 1, 2))
+        (-1) ** k * one_minus_qpow(n)
         / (one_minus_qpow(a + k) * qbinom(a + k - 1, k))
-    )
+    ).shifted(-math.comb(k + 1, 2))
     return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
@@ -312,56 +315,46 @@ def _build_a5(p, variant):
     n, a = p["n"], p["alpha"]
     tail = fk_sums(n, a)[0] - q_binomial(a + n - 1, n - 1)
     lhs = QExpr(tail - _corner(n, a).shifted(math.comb(n - a + 1, 2)))
-    rhs = one_minus_qpow(n) * _alt_frac_sum(n - 1, a, q_weight=False) + 1
+    rhs = _first_order(n, -_alt_frac_sum(n - 1, a, q_weight=False))
     return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_a6(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(q_binomial(n + a - 1, a - 1))
-    ratio_sum = frac_sum((ONE + Poly.monomial(i), i) for i in range(1, a))
-    rhs = (
-        QExpr(q_binomial(n - 1, n - a))
-        * ((-1) ** (a - 1))
-        * QExpr(1).shifted(math.comb(a, 2))
-        * (1 + one_minus_qpow(n) * ratio_sum)
-    )
+    # sum_(i<alpha) (1 + q^i)/(1 - q^i) = 2 R - (alpha - 1), R of step_a7
+    t = a - 1 - 2 * frac_sum((1, i) for i in range(1, a))
+    rhs = ((-1) ** (a - 1) * QExpr(q_binomial(n - 1, n - a))
+           * _first_order(n, t)).shifted(math.comb(a, 2))
     return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_a7(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(q_binomial(n - 1, a - 1))
-    recip_sum = frac_sum((1, i) for i in range(1, a))
-    if variant == "as_printed":
-        inner = 1 - recip_sum
-    else:
-        inner = 1 - one_minus_qpow(n) * recip_sum
-    rhs = QExpr((-1) ** (a - 1)).shifted(-math.comb(a, 2)) * inner
+    r = frac_sum((1, i) for i in range(1, a))  # R = sum_(i<alpha) 1/(1-q^i)
+    inner = 1 - r if variant == "as_printed" else _first_order(n, r)
+    rhs = ((-1) ** (a - 1) * inner).shifted(-math.comb(a, 2))
     return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_a8(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(_corner(n, a))
-    rhs = QExpr(1).shifted(-math.comb(a, 2)) * (
-        (a - 1) * one_minus_qpow(n) - 1
-    )
+    rhs = (-_first_order(n, a - 1)).shifted(-math.comb(a, 2))
     return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 
 def _build_a9_0(p, variant):
     t, n = p["t"], p["n"]
-    lhs = QExpr(1).shifted(t * n)
-    rhs = 1 - t * one_minus_qpow(n)
-    return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
+    return QCongruence(QExpr(1).shifted(t * n), _first_order(n, t),
+                       CycloModulus.phi(n, 2))
 
 
 def _build_a9(p, variant):
-    n, a = p["n"], p["alpha"]
-    lhs = QExpr(1).shifted(n * (n - 2 * a + 1) // 2)
-    rhs = 1 + Fraction(2 * a - n - 1, 2) * one_minus_qpow(n)
-    return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
+    # step_a9_0 at t = (n + 1)/2 - alpha, an integer for odd n
+    n = p["n"]
+    return _build_a9_0({"t": (n + 1) // 2 - p["alpha"], "n": n}, variant)
 
 
 def _build_a10(p, variant):
@@ -414,23 +407,20 @@ def _build_b4(p, variant):
 
 
 def _build_b5(p, variant):
-    n, a = p["n"], p["alpha"]
-    lhs = QExpr(1).shifted(n * (n - 2 * a + 1) // 2 - a)
-    rhs = (1 + Fraction(2 * a - n - 1, 2) * one_minus_qpow(n)).shifted(-a)
-    return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
+    # step_a9 with both sides times q^(-alpha)
+    lhs, rhs, modulus = _build_a9(p, variant)
+    a = p["alpha"]
+    return QCongruence(lhs.shifted(-a), rhs.shifted(-a), modulus)
 
 
 def _build_b6(p, variant):
     n, a = p["n"], p["alpha"]
     lhs = QExpr(_b_corner(n, a))
-    qn, qa = q_integer(n), q_integer(a)
-    core = qa - (a - 1) * (qa * qn * Poly([1, -1])) - qn
-    if variant == "as_printed":
-        bracket = 1 + (2 * a - n - 1) * one_minus_qpow(n)
-    else:
-        # reinstates the halved coefficient used by the q-power expansion
-        bracket = (2 + (2 * a - n - 1) * one_minus_qpow(n)) / 2
-    rhs = bracket * QExpr(core).shifted(-a)
+    core = qint(a) * _first_order(n, a - 1) - qint(n)
+    # q^(tn) expanded at t = (n + 1)/2 - alpha, or at 2t as printed
+    t = (n + 1) // 2 - a
+    bracket = _first_order(n, 2 * t if variant == "as_printed" else t)
+    rhs = (bracket * core).shifted(-a)
     return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
 
 

@@ -189,6 +189,33 @@ def test_verify_holds_exit_zero(capsys):
     assert "4 cells: 4 holds" in capsys.readouterr().out
 
 
+def test_negative_range_after_a_space(capsys):
+    # argparse alone reads -3..4 as an option and stops with a usage error
+    argv = ["verify", "--statement", "step_a9_0", "--n", "5", "--t"]
+    assert main(argv + ["-3..4"]) == 0
+    assert capsys.readouterr().out.endswith("8 cells: 8 holds\n")
+    assert main(argv + ["-3,-1"]) == 0
+    assert capsys.readouterr().out.endswith("2 cells: 2 holds\n")
+    assert main(["verify", "--statement", "step_a9_0", "--t", "--n", "5"]) == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--statement", "guguo"], 0),
+    (["verify", "--statement", "pan2", "--variant", "as_printed"], 1),
+])
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(argv, code):
+    # the reader is gone before the command writes, as with `| head -n 0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qcong.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
 def test_verify_json_round_trips(capsys):
     code = main(["verify", "--statement", "step_b6", "--variant",
                  "as_printed", "--n", "5", "--format", "json"])

@@ -286,6 +286,16 @@ def test_q_fermat_quotient_m2_denominator_coprime_to_phi_n():
             assert raw == q_fermat_quotient(m, n)
 
 
+def test_q_fermat_quotient_keeps_one_over_n_factored():
+    # ((q^2;q^2)_(n-1) / (q;q)_(n-1) - 1) times the exponent map of 1/[n]
+    for n in range(1, 26):
+        ratio = q_pochhammer(2, n - 1).exact_div(q_pochhammer(1, n - 1))
+        phis = dict.fromkeys(divisors(n)[1:], -1)
+        fq = q_fermat_quotient(2, n)
+        assert fq == exact._qexpr(ratio - 1, ONE, 0, phis)
+        assert fq._phis == phis
+
+
 def test_q_harmonic_values():
     assert q_harmonic("alternating", 0) == 0
     assert q_harmonic("alternating_q", 0) == 0

@@ -14,8 +14,9 @@ from qcong.congruence import Status, check_congruence
 from qcong.cyclotomic import CycloModulus, cyclotomic
 from qcong.exact import ONE, Poly, QExpr
 from qcong.qcombinatorics import (
-    _alt_frac_sum, _even_recip_sum, fk_sums, q_binomial, q_fermat_quotient,
-    q_integer, q_pochhammer,
+    _alt_frac_sum, _even_recip_sum, fk_sums, frac_sum, one_minus_qpow,
+    q_binomial, q_fermat_quotient, q_harmonic, q_integer, q_pochhammer,
+    qbinom, qint,
 )
 from qcong.statements import (
     REGISTRY,
@@ -213,6 +214,77 @@ def test_reciprocal_sums_match_term_by_term_reference():
                  + QExpr(1, q_integer(a)).shifted(a))
         b4 = inner.shifted(-a) / QExpr(one_minus_q)
         assert REGISTRY["step_b4"].build(cell, "as_printed").rhs == b4
+
+
+def _closed_form_rhs(tag, p, variant):
+    """The right sides of the proof steps in closed form: one product per
+    sign, q-power and 1 - q^n = [n](1 - q), each expansion written out."""
+    n, a = p["n"], p.get("alpha")
+    omq = one_minus_qpow(n)
+    if tag == "gsz_03":
+        r, qn = p["r"], q_integer(n)
+        return (QExpr(qn.shifted((r - 1) * n + 1))
+                - Fraction(r * (2 * r - 1) * (n - 1) ** 2, 4)
+                * QExpr(Poly([1, -1]) ** 2 * qn ** 3).shifted(1))
+    if tag == "step_a4":
+        k = p["k"]
+        return (omq * QExpr((-1) ** k).shifted(-math.comb(k + 1, 2))
+                / (one_minus_qpow(a + k) * qbinom(a + k - 1, k)))
+    if tag == "step_a5":
+        return omq * _alt_frac_sum(n - 1, a, q_weight=False) + 1
+    if tag == "step_a6":
+        ratio_sum = frac_sum((ONE + Poly.monomial(i), i) for i in range(1, a))
+        return (QExpr(q_binomial(n - 1, n - a)) * ((-1) ** (a - 1))
+                * QExpr(1).shifted(math.comb(a, 2)) * (1 + omq * ratio_sum))
+    if tag == "step_a7":
+        recip_sum = frac_sum((1, i) for i in range(1, a))
+        if variant != "as_printed":
+            recip_sum = omq * recip_sum
+        return QExpr((-1) ** (a - 1)).shifted(-math.comb(a, 2)) * (1 - recip_sum)
+    if tag == "step_a8":
+        return QExpr(1).shifted(-math.comb(a, 2)) * ((a - 1) * omq - 1)
+    if tag == "step_a9_0":
+        return 1 - p["t"] * omq
+    if tag in ("step_a9", "step_b5"):
+        rhs = 1 + Fraction(2 * a - n - 1, 2) * omq
+        return rhs.shifted(-a) if tag == "step_b5" else rhs
+    qn, qa = q_integer(n), q_integer(a)
+    if tag == "step_a10":
+        return (2 * QExpr(qn * Poly([1, -1]))
+                + QExpr(qn * (2 * Poly.monomial(a) - ONE) - qa) / qint(a)
+                - 2 * qint(n) * q_fermat_quotient(2, n)
+                - 2 * qint(n) * q_harmonic("alternating", a))
+    assert tag == "step_b6"
+    core = qa - (a - 1) * (qa * qn * Poly([1, -1])) - qn
+    if variant == "as_printed":
+        bracket = 1 + (2 * a - n - 1) * omq
+    else:
+        bracket = (2 + (2 * a - n - 1) * omq) / 2
+    return bracket * QExpr(core).shifted(-a)
+
+
+CLOSED_FORM_RUNS = [
+    ("gsz_03", "as_printed"), ("step_a4", "as_printed"),
+    ("step_a5", "as_printed"), ("step_a6", "as_printed"),
+    ("step_a7", "as_printed"), ("step_a7", "corrected"),
+    ("step_a8", "as_printed"), ("step_a9_0", "as_printed"),
+    ("step_a9", "as_printed"), ("step_a10", "as_printed"),
+    ("step_b5", "as_printed"), ("step_b6", "as_printed"),
+    ("step_b6", "corrected"),
+]
+
+
+@pytest.mark.parametrize("tag, variant", CLOSED_FORM_RUNS)
+def test_right_sides_equal_their_closed_forms(tag, variant):
+    # QExpr == compares canonical forms, so a rewrite that changes a value
+    # fails here even where it keeps every margin
+    for p in REGISTRY[tag].default_grid():
+        built = REGISTRY[tag].build(p, variant)
+        assert built.rhs == _closed_form_rhs(tag, p, variant), p
+        if tag in ("step_a9", "step_b5"):
+            n, a = p["n"], p["alpha"]
+            shift = n * (n - 2 * a + 1) // 2 - (a if tag == "step_b5" else 0)
+            assert built.lhs == QExpr(1).shifted(shift), p
 
 
 def test_m_star_examples_and_q1_bridge():

@@ -1,11 +1,14 @@
 """Decide congruences between rational q-expressions modulo products of
 cyclotomic powers, and between rational numbers modulo integers.
 
-Semantics: to check lhs = rhs mod prod Phi_d^e, form the difference
+Semantics: to check lhs = rhs mod prod Phi_d^e, write the difference
 D = q^s * N/E * prod Phi_d^(m_d), unreduced, by the rule every QExpr
-sum follows (exact._unreduced_sum), where m holds the cyclotomic factors
+sum follows (exact._sum_parts), where m holds the cyclotomic factors
 that both sides carry factored, and compare Phi_d-adic valuations per
-factor. The margin at d is val_d(N) + m_d - val_d(E). It is the margin
+factor. val_d(N) is read from N's residue mod (q^d - 1)^K, folded from
+N's parts, so a long N is never formed or divided; below a length
+crossover the residue is N itself (check_congruence).
+The margin at d is val_d(N) + m_d - val_d(E). It is the margin
 of the reduced difference: a factor common to N and E cancels in it, and
 the monic, primitive Phi_d divides neither q nor a nonzero integer.
 val_num and val_den are the margin's positive and negative parts. The
@@ -32,7 +35,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .cyclotomic import CycloModulus, phi_valuation
-from .exact import ONE, QExpr, ZERO, _pseudo_divmod, _unreduced_sum
+from .exact import (ONE, Poly, QExpr, ZERO, _fold, _mk, _parts_num,
+                    _phi_power, _pseudo_divmod, _sum_parts)
 
 __all__ = [
     "CycloModulus",
@@ -144,6 +148,30 @@ class Verdict(namedtuple("Verdict", "status factors note", defaults=((), ""))):
         return "; ".join(bits)
 
 
+# Fold the parts of a difference only when the bound on its degree is at
+# least _FOLD_MIN_RATIO * K * d. A fold costs K multiply-adds per
+# coefficient of each part and a product of degree below 2Kd, where
+# forming N costs the cofactor products at N's full length and a
+# valuation that divides all of it. On the 963 default q-cells (one
+# process, both variants, caches warm) folding every cell won above a
+# ratio of 8 (47.8 -> 32.2 ms for ratios 8-12, 38.0 -> 16.6 ms above 12),
+# tied at 6-8 and lost up to 1.6x below 6.
+_FOLD_MIN_RATIO = 8
+
+
+def _residue(parts, d: int, k: int) -> Poly:
+    """The num of exact._sum_parts mod (q^d - 1)^k, folded part by part:
+    each num with its q-shift, each cofactor, and their product."""
+    out = ZERO
+    for p, factors, t in parts:
+        r = _mk(_fold((0,) * t + p.coeffs, d, k))
+        if factors:
+            cof = _mk(_fold(_phi_power(factors).coeffs, d, k))
+            r = _mk(_fold((r * cof).coeffs, d, k))
+        out = out + r
+    return out
+
+
 def check_congruence(lhs, rhs, modulus: CycloModulus) -> Verdict:
     """Verdict for lhs = rhs modulo the cyclotomic modulus.
 
@@ -151,25 +179,50 @@ def check_congruence(lhs, rhs, modulus: CycloModulus) -> Verdict:
     modulus must be nonempty; a congruence mod 1 carries no content and a
     request for one is treated as a usage error.
 
-    Each side is read as it stands, with no gcd: exact._unreduced_sum,
-    the rule QExpr sums follow, forms lhs + (-rhs) as
-    q^s * N/E * prod Phi_k^(m_k), where m_k is the smaller of the two
-    sides' exponents at Phi_k. The margin at k is v_k(N) + m_k - v_k(E);
-    no valuation is taken of a constant E or of a known Phi_k, and no gcd
-    or division reduces N/E. Each factor's record comes from the margin,
-    as FactorCheck says.
+    Each side is read as it stands, with no gcd: exact._sum_parts, the
+    rule QExpr sums follow, writes lhs + (-rhs) as q^s * N/E *
+    prod Phi_k^(m_k), where m_k is the smaller of the two sides' exponents
+    at Phi_k. The margin at k is v_k(N) + m_k - v_k(E); no valuation is
+    taken of a constant E or of a known Phi_k, and no gcd or division
+    reduces N/E. Each factor's record comes from the margin, as
+    FactorCheck says.
+
+    v_k(N) for a factor Phi_k^e comes from R = N mod (q^k - 1)^K, folded
+    from N's parts (_residue), starting at K = e + 1. Phi_k^K divides
+    (q^k - 1)^K, so R = N mod Phi_k^K, and v_k(R) < K is v_k(N). Otherwise
+    K doubles, or, for R = 0, goes straight past the bound D on deg N;
+    once K*k > D, R is N itself, formed as QExpr sums form it, and its
+    valuation is exact, inf for N = 0. A difference with
+    D < _FOLD_MIN_RATIO * (e + 1) * k starts there, unfolded.
     """
     if modulus.is_empty:
         raise ValueError("empty modulus")
     lhs, rhs = (x if isinstance(x, QExpr) else QExpr(x) for x in (lhs, rhs))
-    num, den, _, low = _unreduced_sum(lhs, -rhs)
+    parts, den, _, low = _sum_parts(lhs, -rhs)
+    # deg Phi_j <= j, so this bounds deg N
+    bound = max(len(p) + t + sum(j * e for j, e in factors)
+                for p, factors, t in parts) - 1
+    num = None
     checks = []
     pole = False
     short = False
     for k, e in modulus.factors:
-        m = phi_valuation(num, k) + low.get(k, 0)
+        K = e + 1
+        if bound < _FOLD_MIN_RATIO * K * k:
+            K = bound // k + 1
+        while K * k <= bound:
+            r = _residue(parts, k, K)
+            v = phi_valuation(r, k)
+            if v < K:
+                break
+            K = 2 * K if r else bound // k + 1
+        else:
+            if num is None:
+                num = _parts_num(parts)
+            v = phi_valuation(num, k)
+        m = v + low.get(k, 0)
         # a zero N has margin inf, and no Phi_k divides a constant
-        if num and len(den) > 1:
+        if v != math.inf and len(den) > 1:
             m -= phi_valuation(den, k)
         fc = FactorCheck(k, e, max(m, 0), max(-m, 0))
         checks.append(fc)

@@ -4,9 +4,9 @@ Two layers: dense integer polynomials (Poly), and fractions of those
 times a signed power of q and a product of cyclotomic powers (QExpr),
 which carries negative q-powers as an integer shift and the cyclotomic
 factors as an exponent map. Each rule is stated once: _phi_power forms
-every product of cyclotomic powers, _unreduced_sum every sum of two
-QExprs (congruence.check_congruence's difference among them), and _pack
-every evaluation at a power of two.
+every product of cyclotomic powers, _sum_parts every sum of two QExprs
+(congruence.check_congruence's difference among them, which it folds
+part by part), and _pack every evaluation at a power of two.
 Everything is immutable and hashable, and every operation is exact; there
 is no floating point anywhere in this module.
 
@@ -41,8 +41,9 @@ from __future__ import annotations
 
 import math
 import struct
-from functools import lru_cache
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 # Operand length from which Kronecker multiplication beats the schoolbook
 # loop; see the measurement recorded in CHANGES.md.
@@ -576,11 +577,45 @@ def _split(p: Poly, b: Poly, most=math.inf):
     return (_mk(q) if v else p), v
 
 
+@lru_cache(maxsize=64)
+def _fold_weights(blocks: int, k: int) -> tuple:
+    """Row t, column j: the coefficient of y^t in y^j mod (y - 1)^k.
+
+    y^j = sum_i C(j, i) (y - 1)^i and (y - 1)^i = sum_t C(i, t)
+    (-1)^(i-t) y^t, so for j >= k the entry is
+    sum_(t<=i<k) C(j, i) C(i, t) (-1)^(i-t)
+    = (-1)^(k-1-t) C(j, t) C(j-t-1, k-1-t), and y^j is its own remainder
+    for j < k.
+    """
+    return tuple(
+        tuple((-1) ** (k - 1 - t) * math.comb(j, t) * math.comb(j - t - 1, k - 1 - t)
+              if j >= k else int(j == t) for j in range(blocks))
+        for t in range(k))
+
+
+def _fold(c, d: int, k: int):
+    """The coefficients c mod (q^d - 1)^k, at most k*d of them.
+
+    With y = q^d, c = sum_j C_j(q) y^j over its base-q^d digits C_j of
+    degree below d, and y^j mod (y - 1)^k = sum_(t<k) w[t][j] y^t.
+    """
+    if len(c) <= k * d:
+        return c
+    if k == 1:  # every weight is 1
+        return [sum(c[r::d]) for r in range(d)]
+    # rows for a power of two of blocks, so few tables serve every length;
+    # map stops at the end of c[r::d]
+    blocks = 1 << (-(-len(c) // d) - 1).bit_length()
+    out = []
+    for row in _fold_weights(blocks, k):
+        out += [sum(map(mul, row, c[r::d])) for r in range(d)]
+    return out
+
+
 def _phi_divides(p: Poly, d: int, phi: Poly) -> bool:
     # Phi_d | q^d - 1, so Phi_d | p exactly when it divides p mod q^d - 1,
-    # the fold r_i = sum_j p_(i+jd): O(len p) adds, and no division of p
-    c = p._c
-    r = _mk([sum(c[i::d]) for i in range(d)])
+    # the fold at k = 1: O(len p) adds, and no division of p
+    r = _mk(_fold(p._c, d, 1))
     return not r or r.try_exact_div(phi) is not None
 
 
@@ -613,18 +648,19 @@ def _times(p: Poly, factors: tuple) -> Poly:
     return p * _phi_power(factors) if factors else p
 
 
-def _unreduced_sum(x: "QExpr", y: "QExpr") -> tuple:
-    """(num, den, shift, m) with x + y = q^shift * num / den * prod
-    Phi_d^(m_d), formed with no gcd and no division.
+def _sum_parts(x: "QExpr", y: "QExpr") -> tuple:
+    """(parts, den, shift, m) with x + y = q^shift * num / den * prod
+    Phi_d^(m_d) and num = sum of p * q^t * prod Phi_d^e over the two
+    parts (p, factors, t), formed with no gcd and no division.
 
-    m is the per-d minimum of the two exponent maps, and each side's num
-    is multiplied by its cofactor prod Phi_d^(e_d - m_d). Constant dens
-    are scaled to their lcm; otherwise num is formed over the product of
-    both dens.
+    m is the per-d minimum of the two exponent maps, and each side's
+    factors are its cofactor prod Phi_d^(e_d - m_d), left unmultiplied.
+    Constant dens are scaled to their lcm; otherwise each p is its num
+    times the other side's den, over the product of both dens.
     """
     s = min(x._shift, y._shift)
     m, xa, xb = _common(x._phis, y._phis)
-    a, b = _times(x._num, xa), _times(y._num, xb)
+    a, b = x._num, y._num
     da, db = x._den, y._den
     if len(da) == 1 and len(db) == 1:
         # constant dens: over their lcm, by integer scalings
@@ -637,7 +673,14 @@ def _unreduced_sum(x: "QExpr", y: "QExpr") -> tuple:
         den = _mk((u // g * v,))
     else:
         a, b, den = a * db, b * da, da * db
-    return a.shifted(x._shift - s) + b.shifted(y._shift - s), den, s, m
+    return ((a, xa, x._shift - s), (b, xb, y._shift - s)), den, s, m
+
+
+def _parts_num(parts) -> Poly:
+    # num of _sum_parts: each cofactor multiplied in
+    (a, xa, ta), (b, xb, tb) = parts
+    return _times(a, xa).shifted(ta) + _times(b, xb).shifted(tb)
+
 
 
 class QExpr:
@@ -645,7 +688,7 @@ class QExpr:
 
     The exponent map holds the cyclotomic factors whose factorization is
     known (qcombinatorics' factored builders put them there). A sum
-    (_unreduced_sum) takes the per-d minimum exponent and multiplies each
+    (_sum_parts) takes the per-d minimum exponent and multiplies each
     num by its cofactor; products and powers add exponents; nothing is
     divided. den is what is left of a denominator passed in as a plain
     Poly: when num and den are both nonconstant, gcd_rational reduces
@@ -735,7 +778,8 @@ class QExpr:
             return self
         if not self._num:
             return o
-        return _reduced(*_unreduced_sum(self, o))
+        parts, den, shift, m = _sum_parts(self, o)
+        return _reduced(_parts_num(parts), den, shift, m)
 
     def __add__(self, other):
         o = self._coerced(other)

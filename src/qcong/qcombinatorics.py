@@ -174,21 +174,18 @@ def fk_values(n: int, alpha: int) -> tuple[int, int, int]:
             sum((n - k) * v for k, v in enumerate(vals)))
 
 
-def fk_sums(n: int, alpha: int) -> tuple[Poly, Poly, Poly]:
-    """The sums of f_k = q^C(k+1,2) [alpha+k-1, k] [alpha+n-1, n-1-k], k < n.
+@lru_cache(maxsize=128)
+def _fk_stepped(n: int, alpha: int) -> tuple:
+    """(plain, shifted, top, w, want) for the f_k of fk_sums: plain and
+    shifted are sum f_k(B) and sum f_k(B) B^k at B = 2^(8w), top is the
+    largest degree of an f_k, and want is fk_values(n, alpha).
 
-    Returns (sum f_k, sum f_k [k], sum_j q^j sum_(k<=j) f_k), j < n. All
-    terms are formed on one integer packed at B = 2^W: f_0 is
-    [alpha+n-1, n-1], and
+    f_0 is [alpha+n-1, n-1], and
     f_(k+1) = f_k q^(k+1) (1 - q^(alpha+k)) (1 - q^(n-1-k))
               / ((1 - q^(k+1)) (1 - q^(alpha+k+1))),
-    taken in two exact halves, each of which leaves a polynomial. With
-    sum f_k [k] = sum f_k (1 - q^k) / (1 - q) and
-    sum_j q^j sum_(k<=j) f_k = sum f_k (q^k - q^n) / (1 - q), only the
-    sums of f_k and f_k q^k are accumulated, and 1 - q divides twice.
-
-    >>> fk_sums(2, 2)
-    (Poly([1, 2, 2]), Poly([0, 1, 1]), Poly([1, 2, 3, 2]))
+    taken in two exact halves, each of which leaves a polynomial.
+    Memoized, so every sum the statements read at one (n, alpha) shares
+    one stepping.
     """
     if n < 1 or alpha < 1:
         raise ValueError("fk_sums needs n >= 1 and alpha >= 1")
@@ -203,12 +200,13 @@ def fk_sums(n: int, alpha: int) -> tuple[Poly, Poly, Poly]:
     peak = max(want + tuple(
         math.comb(alpha + k, k + 1) * math.comb(alpha + n - 1, n - 1 - k)
         for k in range(n - 1)))
+    f0 = q_binomial(alpha + n - 1, n - 1)
     w = _width(peak.bit_length() + 1)
     bits = 8 * w
-    x = _pack(q_binomial(alpha + n - 1, n - 1).coeffs, w)
+    x = _pack(f0.coeffs, w)
     deg = (n - 1) * alpha  # of [alpha+k-1, k] [alpha+n-1, n-1-k]
-    plain = shifted = 0  # sums of f_k(B) and of f_k(B) B^k
-    top = 0  # the largest degree of f_k
+    plain = shifted = 0
+    top = 0
     for k in range(n):
         lift = math.comb(k + 1, 2)
         top = max(top, lift + deg)
@@ -221,12 +219,41 @@ def fk_sums(n: int, alpha: int) -> tuple[Poly, Poly, Poly]:
         # [alpha+n-1, n-1-k] -> [alpha+n-1, n-2-k]
         x, deg = _times_ratio(x, deg, alpha + k, k + 1, bits)
         x, deg = _times_ratio(x, deg, n - 1 - k, alpha + k + 1, bits)
-    weighted = _div_one_minus_qpow(plain - shifted, 1, top + n, bits)
-    double = _div_one_minus_qpow(shifted - (plain << (n * bits)), 1,
-                                 top + n, bits)
-    what = f"f_k sums at n={n}, alpha={alpha}"
-    return tuple(_read(v, top + n, w, total, what)
-                 for v, total in zip((plain, weighted, double), want))
+    return plain, shifted, top, w, want
+
+
+def _fk_sum(n: int, alpha: int, which: int) -> Poly:
+    """fk_sums(n, alpha)[which], read alone from the shared stepping.
+
+    sum f_k [k] = sum f_k (1 - q^k) / (1 - q) and
+    sum_j q^j sum_(k<=j) f_k = sum f_k (q^k - q^n) / (1 - q), so each of
+    those two takes one division by 1 - q, and the plain sum none.
+    """
+    plain, shifted, top, w, want = _fk_stepped(n, alpha)
+    bits = 8 * w
+    if which == 0:
+        v = plain
+    elif which == 1:
+        v = _div_one_minus_qpow(plain - shifted, 1, top + n, bits)
+    else:
+        v = _div_one_minus_qpow(shifted - (plain << (n * bits)), 1, top + n,
+                                bits)
+    return _read(v, top + n, w, want[which], f"f_k sums at n={n}, alpha={alpha}")
+
+
+def fk_sums(n: int, alpha: int) -> tuple[Poly, Poly, Poly]:
+    """The sums of f_k = q^C(k+1,2) [alpha+k-1, k] [alpha+n-1, n-1-k], k < n.
+
+    Returns (sum f_k, sum f_k [k], sum_j q^j sum_(k<=j) f_k), j < n. All
+    terms are formed on one integer packed at B = 2^W, stepped from f_0
+    by ratios of factors 1 - q^m (_fk_stepped), and only the sums of f_k
+    and f_k q^k are accumulated; the other two sums are each one division
+    by 1 - q (_fk_sum).
+
+    >>> fk_sums(2, 2)
+    (Poly([1, 2, 2]), Poly([0, 1, 1]), Poly([1, 2, 3, 2]))
+    """
+    return tuple(_fk_sum(n, alpha, which) for which in range(3))
 
 
 def apery_values(n: int) -> list[int]:

@@ -45,6 +45,7 @@ from .exact import ONE, Poly, QExpr
 from .qcombinatorics import (
     _alt_frac_sum,
     _even_recip_sum,
+    _fk_sum,
     apery_sum,
     apery_values,
     fk_sums,
@@ -187,7 +188,7 @@ def _b7_rhs(n: int, alpha: int) -> QExpr:
 
 def _build_t1(p, variant):
     n, a = p["n"], p["alpha"]
-    lhs = QExpr(fk_sums(n, a)[0])
+    lhs = QExpr(_fk_sum(n, a, 0))
     # k = 0 term (step_a11_a12) plus the k >= 1 tail (step_a10)
     rhs = _a10_rhs(n, a) + qint(n) / qint(a)
     return QCongruence(lhs, rhs, CycloModulus.phi(n, 2))
@@ -197,7 +198,7 @@ def _build_t2(p, variant):
     n, a = p["n"], p["alpha"]
     # step_b1 (corrected) followed by step_b7
     rhs = -QExpr(q_integer(n)) - _b7_rhs(n, a)
-    return QCongruence(QExpr(fk_sums(n, a)[2]), rhs, CycloModulus.phi(n, 2))
+    return QCongruence(QExpr(_fk_sum(n, a, 2)), rhs, CycloModulus.phi(n, 2))
 
 
 def _build_cor1a(p, variant):

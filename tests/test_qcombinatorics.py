@@ -28,6 +28,15 @@ from qcong.qcombinatorics import (
 )
 
 
+@pytest.fixture(autouse=True)
+def _fresh_fk_stepping():
+    # every test steps the f_k sums anew, so a test that patches the
+    # packing sees its own stepping and leaves none in the memo
+    qcombinatorics._fk_stepped.cache_clear()
+    yield
+    qcombinatorics._fk_stepped.cache_clear()
+
+
 def test_q_integer():
     assert q_integer(0) == ZERO
     assert q_integer(1) == ONE

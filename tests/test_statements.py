@@ -531,3 +531,38 @@ def test_default_sweep_takes_no_gcd_and_evicts_from_no_cache(monkeypatch):
     for cache in caches:
         info = cache.cache_info()
         assert info.currsize < info.maxsize, (cache, info)
+
+
+def test_t1_and_t2_each_read_one_f_k_sum(monkeypatch):
+    # t1 reads sum f_k and t2 the double sum: one _read each, and only the
+    # double sum divides by 1 - q; fk_sums reads all three. The stepping
+    # is memoized, so t1 and t2 at one (n, alpha) step it once.
+    from qcong import qcombinatorics
+
+    calls = []
+    for name in ("_div_one_minus_qpow", "_read", "_times_ratio"):
+        def spy(*args, _name=name, _real=getattr(qcombinatorics, name)):
+            calls.append((_name, sys._getframe(1).f_code.co_name))
+            return _real(*args)
+        monkeypatch.setattr(qcombinatorics, name, spy)
+
+    def counted(fn):
+        del calls[:]
+        fn()
+        return {c: calls.count(c) for c in set(calls)}
+
+    n, a = 9, 4
+    cell = {"n": n, "alpha": a}
+    qcombinatorics._fk_stepped.cache_clear()
+    q_binomial(a + n - 1, n - 1)
+    t1 = counted(lambda: REGISTRY["t1"].build(cell, "as_printed"))
+    assert t1[("_times_ratio", "_fk_stepped")] == 2 * (n - 1)
+    assert t1[("_read", "_fk_sum")] == 1
+    assert ("_div_one_minus_qpow", "_fk_sum") not in t1
+    t2 = counted(lambda: REGISTRY["t2"].build(cell, "as_printed"))
+    assert ("_times_ratio", "_fk_stepped") not in t2
+    assert t2[("_read", "_fk_sum")] == 1
+    assert t2[("_div_one_minus_qpow", "_fk_sum")] == 1
+    both = counted(lambda: fk_sums(n, a))
+    assert both == {("_read", "_fk_sum"): 3, ("_div_one_minus_qpow", "_fk_sum"): 2}
+    qcombinatorics._fk_stepped.cache_clear()

@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+from functools import lru_cache
 
 from .cyclotomic import cyclotomic
 from .euler import euler_numbers
@@ -406,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in PARAM_FLAGS:
         pv.add_argument(f"--{name}", default=None, metavar="RANGE")
     add_common(pv)
-    pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("compute", help="print one exact object")
     pc.add_argument("object",
@@ -420,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--format", choices=("json", "csv", "text"),
                     default="text")
     pc.add_argument("--output", metavar="FILE", default=None)
-    pc.set_defaults(func=cmd_compute)
 
     pr = sub.add_parser("report",
                         help="run default grids for many statements,"
@@ -430,8 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated tags (default: all)")
     which.add_argument("--all", action="store_true")
     add_common(pr)
-    pr.set_defaults(func=cmd_report)
     return parser
+
+
+# parse_args leaves a parser as it was, so one serves every main call
+_parser = lru_cache(maxsize=1)(build_parser)
 
 
 def resolve_jobs(jobs):
@@ -454,14 +456,13 @@ def resolve_jobs(jobs):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     # argparse reads a value such as -3..4 as an option: join it to its flag
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(1, len(argv))):
         if argv[i - 1] in _PARAM_OPTS and re.match(r"-\d", argv[i]):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         # argparse uses 2 for usage errors and 0 for --help
         return int(e.code or 0)
@@ -473,7 +474,10 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "jobs"):
             args.jobs = resolve_jobs(args.jobs)
-        return args.func(args)
+        # looked up by name at each call, not bound into the shared parser
+        command = {"verify": cmd_verify, "compute": cmd_compute,
+                   "report": cmd_report}[args.command]
+        return command(args)
     except (UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

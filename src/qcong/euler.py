@@ -1,66 +1,74 @@
 """Euler numbers, Euler polynomials and higher-order Euler numbers.
 
-Euler polynomials come from exact truncated-series division of 2e^(xt) by
-e^t + 1 over the rationals, not from a lookup table, so every value here
-is recomputable from one definition. Each E_m is kept once, as integer
-numerators over one common denominator; its coefficient list and its
-values E_m(x) are both read from that form. The Euler numbers come from Seidel's boustrophedon, which only adds integers.
-The alternating-power-sum identity and its harmonic congruence mod p that
-they satisfy are the statements identity_t0 and cong_t0a of the registry
-in statements.py.
+Euler numbers and polynomials come from one table, the zigzag numbers
+A_n that Seidel's boustrophedon forms by adding integers; it is kept and
+extended as larger indices are asked for. The Euler numbers are
+E_2k = (-1)^k A_2k, and the values E_k(0) are 0 for even k >= 2 and
+(-1)^((k+1)/2) A_k / 2^k for odd k. Euler polynomials are an Appell
+sequence, so E_m(x) = sum_k C(m, k) E_k(0) x^(m-k) is read from m + 1
+zigzag numbers, kept as integer numerators over one common denominator;
+its coefficient list and its values E_m(x) are both read from that
+form. The alternating-power-sum identity and its harmonic congruence
+mod p that they satisfy are the statements identity_t0 and cong_t0a of
+the registry in statements.py.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, islice
+
+
+def _boustrophedon():
+    """A_0, A_1, ...: row n of the Seidel-Entringer triangle is 0 followed
+    by the running sums of row n - 1 read backwards, and ends in the
+    zigzag number A_n."""
+    row = [1]
+    while True:
+        yield row[-1]
+        row = [0, *accumulate(reversed(row))]
+
+
+_zigzag_stream = _boustrophedon()
+_zigzag = []  # the zigzag numbers taken from the stream so far
+
+
+def _zigzags(count: int) -> list[int]:
+    """A_0 .. A_count, and any more already formed."""
+    _zigzag.extend(islice(_zigzag_stream, max(0, count + 1 - len(_zigzag))))
+    return _zigzag
 
 
 def euler_numbers(count: int) -> list[int]:
     """E_0 .. E_count by Seidel's boustrophedon; odd indices are zero.
-
-    Row n of the Seidel-Entringer triangle is 0 followed by the running
-    sums of row n - 1 read backwards; its last entry is the zigzag number
-    A_n, and E_2n = (-1)^n A_2n.
 
     >>> euler_numbers(8)
     [1, 0, -1, 0, 5, 0, -61, 0, 1385]
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    table = [0] * (count + 1)
-    table[0] = 1
-    row = [1]
-    for n in range(1, count + 1):
-        row = [0, *accumulate(reversed(row))]
-        if n % 2 == 0:
-            table[n] = -row[-1] if n % 4 else row[-1]
-    return table
+    a = _zigzags(count)
+    return [0 if n % 2 else -a[n] if n % 4 else a[n] for n in range(count + 1)]
 
 
-# E_m(x) = sum(nums[j] x^j) / den as (nums, den), den the lcm of the
-# denominators; k! times the t^k coefficient of
-# (e^t + 1)/2 * sum E_m(x) t^m / m! = e^(xt) gives
-# E_k(x) = x^k - 1/2 sum(C(k, i) E_(k-i)(x), i = 1..k)
-_integer_forms: list[tuple[tuple[int, ...], int]] = [((1,), 1)]
-
-
+@lru_cache(maxsize=32)
 def _integer_form(m: int) -> tuple[tuple[int, ...], int]:
+    """(nums, den) with E_m(x) = sum(nums[j] x^j) / den, in lowest terms.
+
+    With z_i = 2^i E_i(0), that is z_0 = 1, z_i = 0 for even i > 0 and
+    z_i = (-1)^((i+1)/2) A_i for odd i, the Appell sum gives
+    nums[j] = C(m, j) z_(m-j) 2^j over den = 2^m.
+    """
     if m < 0:
         raise ValueError("m must be >= 0")
-    while len(_integer_forms) <= m:
-        k = len(_integer_forms)
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1)
-        for i in range(1, k + 1):
-            nums, den = _integer_forms[k - i]
-            w = Fraction(math.comb(k, i), 2 * den)
-            for j, c in enumerate(nums):
-                coeffs[j] -= w * c
-        den = math.lcm(*(c.denominator for c in coeffs))
-        _integer_forms.append((tuple(int(c * den) for c in coeffs), den))
-    return _integer_forms[m]
+    a = _zigzags(m)
+    z = [1] + [0 if i % 2 == 0 else -a[i] if i % 4 == 1 else a[i]
+               for i in range(1, m + 1)]
+    nums = [math.comb(m, j) * z[m - j] << j for j in range(m + 1)]
+    g = math.gcd(1 << m, *nums)
+    return tuple(c // g for c in nums), (1 << m) // g
 
 
 def euler_polynomial(m: int) -> list[Fraction]:

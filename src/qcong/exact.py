@@ -33,8 +33,10 @@ every fast result carries a certificate:
   Otherwise the primitive pseudo-remainder sequence decides.
 
 Only the product keeps a schoolbook loop for short operands, where it
-is faster. One Z-division loop, _divmod_z, serves the division fallback,
-the PRS pseudo-remainders and congruence.reduce_mod.
+is faster; a constant factor, a Poly of one coefficient or an int or
+Fraction times a QExpr, scales coefficients and takes neither loop.
+One Z-division loop, _divmod_z, serves the division fallback, the PRS
+pseudo-remainders and congruence.reduce_mod.
 """
 
 from __future__ import annotations
@@ -322,18 +324,25 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
+        if isinstance(other, Poly):
+            a, b = self._c, other._c
+            if len(a) > 1 and len(b) > 1:
+                if min(len(a), len(b)) >= _KRONECKER_MUL_MIN_LEN:
+                    return _mk(_kronecker_mul(a, b))
+                return _mk(_schoolbook_mul(a, b))
+            if not a or not b:
                 return ZERO
-            return _mk(tuple([other * c for c in self._c]))
-        if not isinstance(other, Poly):
+            # a constant factor is a scalar
+            p, c = (self, b[0]) if len(b) == 1 else (other, a[0])
+        elif isinstance(other, int):
+            p, c = self, other
+        else:
             return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
+        if c == 1:
+            return p  # immutable, so shared
+        if c == 0:
             return ZERO
-        if min(len(a), len(b)) >= _KRONECKER_MUL_MIN_LEN:
-            return _mk(_kronecker_mul(a, b))
-        return _mk(_schoolbook_mul(a, b))
+        return _mk(tuple([c * x for x in p._c]))
 
     __rmul__ = __mul__
 
@@ -718,7 +727,11 @@ class QExpr:
     def __init__(self, num=0, den=1):
         pn, dn = _num_den(num)
         pd, dd = _num_den(den)
-        _reduced(pn * dd, pd * dn, 0, {}, self)
+        if dd != 1:
+            pn = pn * dd
+        if dn != 1:
+            pd = pd * dn
+        _reduced(pn, pd, 0, {}, self)
 
     def _observed(self) -> tuple:
         # (num, den, shift) in canonical form, built once
@@ -799,6 +812,14 @@ class QExpr:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational constant scales num and den: their primitive
+            # parts, and so their coprimality, are unchanged
+            a, b = other.numerator, other.denominator
+            if not a or not self._num:
+                return _qexpr(ZERO, ONE, 0, {})
+            return _qexpr(self._num * a, self._den if b == 1 else self._den * b,
+                          self._shift, self._phis)
         o = self._coerced(other)
         if o is None:
             return NotImplemented

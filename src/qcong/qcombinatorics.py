@@ -222,12 +222,14 @@ def _fk_stepped(n: int, alpha: int) -> tuple:
     return plain, shifted, top, w, want
 
 
+@lru_cache(maxsize=128)
 def _fk_sum(n: int, alpha: int, which: int) -> Poly:
     """fk_sums(n, alpha)[which], read alone from the shared stepping.
 
     sum f_k [k] = sum f_k (1 - q^k) / (1 - q) and
     sum_j q^j sum_(k<=j) f_k = sum f_k (q^k - q^n) / (1 - q), so each of
     those two takes one division by 1 - q, and the plain sum none.
+    Memoized, so fk_sums, t1 and t2 share each read.
     """
     plain, shifted, top, w, want = _fk_stepped(n, alpha)
     bits = 8 * w
@@ -394,6 +396,7 @@ def _even_recip_sum(bound: int) -> QExpr:
     return frac_sum((1, 2 * k) for k in range(1, bound + 1))
 
 
+@lru_cache(maxsize=128)
 def q_harmonic(kind: str, bound: int) -> QExpr:
     """Partial q-harmonic sum up to the given bound; 0 for bound = 0.
 

@@ -27,6 +27,10 @@ check_congruence reads the margins from the unreduced difference.
 step_a5-a8 and step_b6 take step_a9_0's q^(tn) = 1 - t (1 - q^n)
 (mod Phi_n^2) at an int or QExpr t (_first_order); step_a9 is step_a9_0
 at t = (n + 1)/2 - alpha, and step_b5 is step_a9 times q^(-alpha).
+
+The q-objects several steps share at one n or (n, alpha), the corner
+terms and the q-Fermat quotient over 1 - q, are memoized like the
+constructors they are built from.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import os
 import time
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .congruence import Status, Verdict, check_congruence, check_int_congruence
 from .cyclotomic import CycloModulus, factor_q_integer, is_prime
@@ -102,6 +106,7 @@ def evaluate_built(built) -> Verdict:
 # ---------------------------------------------------------------------------
 # small builders shared by several statements
 
+@lru_cache(maxsize=128)
 def _fermat_over_1mq(n: int) -> QExpr:
     return q_fermat_quotient(2, n) / one_minus_qpow(1)
 
@@ -118,6 +123,7 @@ def m_star(n: int, alpha: int) -> int:
     return fk_values(n + 1, alpha)[0]
 
 
+@lru_cache(maxsize=128)
 def _corner(n: int, alpha: int) -> Poly:
     """[n-1, alpha-1] [n+alpha-1, alpha-1]: the t1 term f_(n-alpha)
     without its q-power."""
@@ -382,6 +388,7 @@ def _build_b1(p, variant):
     return QCongruence(QExpr(double), rhs, CycloModulus.phi(n, 2))
 
 
+@lru_cache(maxsize=128)
 def _b_corner(n: int, alpha: int) -> Poly:
     return (q_integer(n - alpha) * _corner(n, alpha)).shifted(
         math.comb(n - alpha + 1, 2))

@@ -613,3 +613,20 @@ def test_number_list_memory_is_bounded_by_the_batch(fmt, tmp_path):
             "--output", str(path)]
     assert main(argv) == 0  # Phi_200003 is cached from here on
     assert _traced_peak(argv) < 4 * path.stat().st_size
+
+
+def test_one_parser_serves_every_call_and_commands_dispatch_by_name(
+        monkeypatch, capsys):
+    from qcong import cli
+
+    assert main(["compute", "m-star", "--n", "3", "--alpha", "2"]) == 0
+    misses = cli._parser.cache_info().misses
+    assert main(["compute", "m-star", "--n", "4", "--alpha", "2"]) == 0
+    assert main(["verify", "--statement", "step_a9_0", "--n", "3"]) == 0
+    assert cli._parser.cache_info().misses == misses == 1
+    capsys.readouterr()
+    # a command patched after the parser was built still runs
+    seen = []
+    monkeypatch.setattr(cli, "cmd_compute",
+                        lambda args: seen.append(args.object) or 7)
+    assert main(["compute", "m-star"]) == 7 and seen == ["m-star"]

@@ -83,3 +83,36 @@ def test_polynomial_value_matches_rational_horner():
             assert type(value) is Fraction and value == expected, (m, x)
     with pytest.raises(ValueError):
         euler_polynomial_value(-1, 0)
+
+
+def _recurrence_polynomials(count):
+    # E_k(x) = x^k - 1/2 sum(C(k, i) E_(k-i)(x), i = 1..k), k! times the t^k
+    # coefficient of (e^t + 1)/2 * sum E_m(x) t^m / m! = e^(xt): the
+    # O(m^3) series recurrence that the zigzag numbers replaced
+    polys = [[Fraction(1)]]
+    for k in range(1, count + 1):
+        coeffs = [Fraction(0)] * k + [Fraction(1)]
+        for i in range(1, k + 1):
+            w = Fraction(math.comb(k, i), 2)
+            for j, c in enumerate(polys[k - i]):
+                coeffs[j] -= w * c
+        polys.append(coeffs)
+    return polys
+
+
+def test_euler_polynomials_match_the_series_recurrence():
+    from qcong import euler
+
+    for m, want in enumerate(_recurrence_polynomials(60)):
+        assert euler_polynomial(m) == want, m
+        # one common denominator, in lowest terms
+        nums, den = euler._integer_form(m)
+        assert den == math.lcm(*(c.denominator for c in want))
+        assert [Fraction(c, den) for c in nums] == want
+    assert euler._integer_form.cache_info().maxsize is not None
+
+
+def test_zigzag_table_grows_and_keeps_its_prefix():
+    big = euler_numbers(300)
+    assert euler_numbers(40) == big[:41]
+    assert euler_numbers(301)[:301] == big

@@ -355,3 +355,59 @@ def test_factored_values_observe_as_the_gcd_path_does():
         assert (x.num, x.den, x.shift) == (y.num, y.den, y.shift)
         assert x == y and hash(x) == hash(y) and u == v
         assert _evaluated(x, Fraction(1, 2)) == _evaluated(y, Fraction(1, 2))
+
+
+def _schoolbook_reference(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return Poly(out)
+
+
+def test_a_constant_factor_takes_no_product_loop(monkeypatch):
+    def no_loop(*args):
+        raise AssertionError("a constant factor reached a product loop")
+
+    rng = random.Random(2828)
+    big = (1 << 200) + 12345
+    polys = [ZERO, ONE, Poly([-1]), Poly([big]), Poly([1, -2, 0, 5]),
+             Poly([rng.randint(-9, 9) for _ in range(40)] + [big])]
+    monkeypatch.setattr(exact, "_schoolbook_mul", no_loop)
+    monkeypatch.setattr(exact, "_kronecker_mul", no_loop)
+    for p in polys:
+        for c in (0, 1, -1, 7, big, -big):
+            want = _schoolbook_reference(p.coeffs, (c,))
+            assert p * c == c * p == want
+            assert p * Poly([c]) == Poly([c]) * p == want
+        assert p * ZERO == ZERO * p == ZERO
+        # a factor of 1 hands back the other operand itself
+        assert p * 1 is p and 1 * p is p and p * ONE is p
+        if len(p) > 1:
+            assert ONE * p is p
+    monkeypatch.undo()
+    # two operands of two or more coefficients still take the loops
+    for p in polys[4:]:
+        assert p * Q == Q * p == _schoolbook_reference(p.coeffs, Q.coeffs)
+        assert p * p == _schoolbook_reference(p.coeffs, p.coeffs)
+
+
+def test_qexpr_times_a_constant_is_the_qexpr_product(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a constant factor took the QExpr product path")
+
+    rng = random.Random(2929)
+    values = [_expression(rng, 2)[0] for _ in range(120)]
+    assert any(x._phis for x in values) and any(x._shift for x in values)
+    consts = (0, 1, -1, 6, -(1 << 200) - 1, Fraction(3, 8), Fraction(-7, 12))
+    for x in values:
+        for c in consts:
+            want = x * QExpr(c)
+            with monkeypatch.context() as m:
+                m.setattr(QExpr, "__init__", forbidden)
+                for name in ("_combined", "_reduced", "gcd_rational"):
+                    m.setattr(exact, name, forbidden)
+                got = [x * c, c * x]
+            for y in got:
+                assert y == want and repr(y) == repr(want)
+                assert check_congruence(y, want, factor_q_integer(6)).ok

@@ -105,3 +105,32 @@ def test_w_values_are_integers_for_r_le_2():
     for r, alpha in ((1, 3), (2, 2), (2, 4)):
         for v in lehmer_euler_numbers(r, alpha, 12):
             assert v.denominator == 1
+
+
+def _fraction_recurrence(r, alpha, count):
+    # Miller's recurrence summed and divided over Q
+    w = [Fraction(1)]
+    for m in range(1, count + 1):
+        total = Fraction(0)
+        for k in range(r, m + 1, r):
+            total += ((1 - alpha) * k - m) * math.comb(m, k) * w[m - k]
+        w.append(total / m)
+    return w
+
+
+def test_integer_recurrence_matches_the_fraction_recurrence():
+    for r in (1, 2, 3, 4, 5, 7):
+        for alpha in (1, 2, 3, 50):
+            w = lehmer_euler_numbers(r, alpha, 40)
+            assert w == _fraction_recurrence(r, alpha, 40), (r, alpha)
+            assert all(v.denominator == 1 for v in w)
+
+
+def test_a_sum_not_divisible_by_m_raises(monkeypatch):
+    # a wrong binomial weight leaves a remainder, which is never rounded
+    from qcong import lehmer
+
+    comb = math.comb
+    monkeypatch.setattr(lehmer.math, "comb", lambda m, k: comb(m, k) + 1)
+    with pytest.raises(ArithmeticError):
+        lehmer_euler_numbers(1, 2, 8)

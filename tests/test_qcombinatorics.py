@@ -174,6 +174,7 @@ def test_fk_sums_check_their_digits(monkeypatch):
     for fault in (negative, off_by_one):
         monkeypatch.setattr(qcombinatorics, "_unpack",
                             lambda v, n, w: fault(unpack(v, n, w)))
+        qcombinatorics._fk_sum.cache_clear()
         with pytest.raises(ArithmeticError):
             fk_sums(5, 4)
 
@@ -464,6 +465,7 @@ def test_frac_sum_rejects_slots_too_narrow(monkeypatch):
     terms = [(1, 2 * k) for k in range(1, 13)]
     assert max(_common_denominator(terms).coeffs) == 143
     monkeypatch.setattr(qcombinatorics, "_width", lambda bits: 1)
+    q_harmonic.cache_clear()
     assert q_harmonic("plain_even", 6) == want
     with pytest.raises(ArithmeticError):
         q_harmonic("plain_even", 12)
@@ -479,6 +481,7 @@ def test_frac_sum_checks_its_digit_sum(monkeypatch):
         [((-1) ** k * Poly([1, -1]), k) for k in range(1, 11)])
     monkeypatch.setattr(qcombinatorics, "_unpack",
                         lambda v, n, w: off_by_one(unpack(v, n, w)))
+    q_harmonic.cache_clear()
     with pytest.raises(ArithmeticError):
         q_harmonic("alternating", 10)
 

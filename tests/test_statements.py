@@ -554,6 +554,7 @@ def test_t1_and_t2_each_read_one_f_k_sum(monkeypatch):
     n, a = 9, 4
     cell = {"n": n, "alpha": a}
     qcombinatorics._fk_stepped.cache_clear()
+    qcombinatorics._fk_sum.cache_clear()
     q_binomial(a + n - 1, n - 1)
     t1 = counted(lambda: REGISTRY["t1"].build(cell, "as_printed"))
     assert t1[("_times_ratio", "_fk_stepped")] == 2 * (n - 1)
@@ -563,6 +564,63 @@ def test_t1_and_t2_each_read_one_f_k_sum(monkeypatch):
     assert ("_times_ratio", "_fk_stepped") not in t2
     assert t2[("_read", "_fk_sum")] == 1
     assert t2[("_div_one_minus_qpow", "_fk_sum")] == 1
+    qcombinatorics._fk_sum.cache_clear()
     both = counted(lambda: fk_sums(n, a))
     assert both == {("_read", "_fk_sum"): 3, ("_div_one_minus_qpow", "_fk_sum"): 2}
     qcombinatorics._fk_stepped.cache_clear()
+
+
+def _proof_step_cells():
+    return [(tag, REGISTRY[tag].canonical_variant, params)
+            for tag in ALL_TAGS if tag.startswith(("step_", "lemma_"))
+            for params in REGISTRY[tag].default_grid()]
+
+
+def test_shared_q_objects_are_built_once_and_as_a_cold_build(monkeypatch):
+    from qcong import qcombinatorics, statements
+
+    caches = {
+        qcombinatorics._fk_sum: [(n, a, w) for n, a in _ALPHA_CELLS
+                                 for w in range(3)],
+        q_harmonic: [(kind, b) for kind in ("alternating", "alternating_q")
+                     for b in range(2, 16, 2)]
+        + [("plain_even", (p - 1) // 2) for p in (3, 5, 7, 11)],
+        statements._fermat_over_1mq: [(n,) for n in range(3, 26, 2)],
+        statements._corner: _ALPHA_CELLS,
+        statements._b_corner: _ALPHA_CELLS,
+    }
+    for cache in caches:
+        assert cache.cache_info().maxsize == 128, cache
+        cache.cache_clear()
+    for cell in _proof_step_cells():
+        run_cell(*cell)
+    verify("pan1")
+    verify("pan2")
+    for cache, keys in caches.items():
+        # every object built once: no miss was evicted, and some were shared
+        info = cache.cache_info()
+        assert info.hits and info.misses == info.currsize, (cache, info)
+        for key in keys:
+            warm = cache(*key)
+            assert cache(*key) is warm
+            cold = cache.__wrapped__(*key)
+            assert cold == warm and repr(cold) == repr(warm), (cache, key)
+
+
+_ALPHA_CELLS = [(n, a) for n in range(3, 16, 2) for a in range(2, n + 1, 2)]
+
+
+def test_integer_corollaries_at_every_prime_below_200():
+    # Euler values at p - 2 from the zigzag numbers: every cell of both
+    # variants at alpha in {2, p - 1} in well under a second
+    primes = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
+    start = time.perf_counter()
+    for tag in ("cor1a", "cor1b"):
+        for p in primes:
+            for a in sorted({2, p - 1}):
+                for variant, status in (("as_printed", Status.FAILS),
+                                        ("standard_fermat_quotient",
+                                         Status.HOLDS)):
+                    rec = run_cell(tag, variant, {"p": p, "alpha": a})
+                    assert rec.verdict.status is status, rec
+    assert time.perf_counter() - start < 3

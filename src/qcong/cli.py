@@ -167,9 +167,52 @@ def _joined(pieces, sep=""):
                            map(sep.__add__, batches))
 
 
+# JSON text as json.dumps(obj, indent=2) writes it, each value built whole
+# with str.join. With indent set, the stdlib runs its pure-Python encoder,
+# one generator per value; this calls only what that encoder calls on the
+# leaves: the C string escape and int.__repr__.
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _value(x, pad):
+    """x as json.dumps(x, indent=2) writes it, nested at indent pad;
+    every dict key must be a str."""
+    t = type(x)
+    if t is str:
+        return _escape(x)
+    if t is int:
+        return int.__repr__(x)
+    inner = pad + "  "
+    if t is dict and x:
+        body = ",\n".join([f"{inner}{_escape(k)}: {_value(v, inner)}"
+                           for k, v in x.items()])
+        return f"{{\n{body}\n{pad}}}"
+    if t is list and x:
+        body = ",\n".join([inner + _value(v, inner) for v in x])
+        return f"[\n{body}\n{pad}]"
+    if isinstance(x, dict):
+        return _value(dict(x), pad) if x else "{}"
+    if isinstance(x, (list, tuple)):
+        return _value(list(x), pad) if x else "[]"
+    # true, false, null, a float, a str or int subclass; else TypeError
+    return json.dumps(x)
+
+
 def _json(obj):
-    # the encoder json.dumps(obj, indent=2) runs, without its chunk list
-    return _joined(json.JSONEncoder(indent=2).iterencode(obj))
+    """json.dumps(obj, indent=2) in pieces: a top-level list's items are
+    joined in batches of 64 KiB or more, so a long list is never one str."""
+    if not isinstance(obj, (list, tuple)) or not obj:
+        yield _value(obj, "")
+        return
+    sep, batch, size = "[\n  ", [], 0
+    for i, v in enumerate(obj, 1):
+        batch.append(_value(v, "  "))
+        size += len(batch[-1])
+        if size >= 1 << 16 or i == len(obj):
+            yield sep
+            yield ",\n  ".join(batch)
+            sep, batch, size = ",\n  ", [], 0
+    yield "\n]"
 
 
 def _numbers(values, as_json):

@@ -99,9 +99,16 @@ def _width(bits: int) -> int:
     return w
 
 
-def _offset(n: int, w: int) -> int:
+@lru_cache(maxsize=1024)
+def _kept_offset(n: int, w: int) -> int:
     # 2^(8w-1) in each of n slots: balanced digit d sits as d + 2^(8w-1)
     return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _offset(n: int, w: int) -> int:
+    # _pack and _unpack meet a few short offsets often: up to 1 KiB, each
+    # is built once; a longer one costs little beside the product it packs
+    return (_kept_offset if n * w <= 1024 else _kept_offset.__wrapped__)(n, w)
 
 
 def _pack(c, w: int) -> int:

@@ -222,7 +222,7 @@ def _fk_stepped(n: int, alpha: int) -> tuple:
     return plain, shifted, top, w, want
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=256)
 def _fk_sum(n: int, alpha: int, which: int) -> Poly:
     """fk_sums(n, alpha)[which], read alone from the shared stepping.
 

@@ -1,17 +1,19 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tracemalloc
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qcong
-from qcong import statements
+from qcong import cli, statements
 from qcong.cli import (
     UsageError,
     build_grid,
@@ -496,6 +498,102 @@ def test_json_output_is_json_dumps_with_indent_two(argv, capsys):
     main([*argv, "--jobs", "1", "--format", "json"])
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII and astral text
+_JSON_CHARS = '"\\/\x00\x01\x1f\x7f\b\f\n\r\t aZ09éß€\u2028\ufeff\U0001f600'
+
+
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Map(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+def _random_json(rng, depth):
+    """A seeded JSON value: str-keyed dicts, lists and tuples to depth,
+    empty containers, awkward strings, negative and huge ints, floats."""
+    kind = rng.randrange(9 if depth else 5)
+    if kind == 0:
+        return "".join(rng.choice(_JSON_CHARS)
+                       for _ in range(rng.randrange(8)))
+    if kind == 1:
+        return rng.choice([0, -1, 7, -2**70, 10**4400 + 1, -(10**4301)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return rng.choice([0.0, -0.0, 0.1, -2.5e-300, 1e300,
+                           float("inf"), float("-inf")])
+    if kind == 4:
+        return rng.choice(["", {}, [], ()])
+    size = rng.randrange(1, 5)
+    if kind in (5, 6):
+        return {"".join(rng.choice(_JSON_CHARS)
+                        for _ in range(rng.randrange(4))):
+                _random_json(rng, depth - 1) for _ in range(size)}
+    items = [_random_json(rng, depth - 1) for _ in range(size)]
+    return tuple(items) if kind == 7 else items
+
+
+def test_json_writer_is_json_dumps_with_indent_two(monkeypatch):
+    # the CLI's writer against the stdlib on seeded values, encoded inside
+    # main, whose lifted digit limit lets ints past 4300 digits print
+    rng = random.Random(2029)
+    docs = [_random_json(rng, 4) for _ in range(400)]
+    docs += [[_random_json(rng, 3) for _ in range(300)], "", 0, [], {},
+             [[]], [{}], {"": []}, ({"a": ()},), float("nan"),
+             _Map(a=_List([_Text('"é'), _Count(-3), True])), _Text("\\")]
+    seen = []
+
+    def encode(args):
+        for doc in docs:
+            want = json.dumps(doc, indent=2)
+            assert "".join(cli._json(doc)) == want, doc
+            seen.append(max(map(len, re.findall(r"\d+", want)), default=0))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_compute", encode)
+    assert main(["compute", "m-star"]) == 0
+    assert len(seen) == len(docs) and max(seen) > 4300
+    for bad in ([1, {"x": Fraction(1, 2)}], {"x": object()}, {1: 0}):
+        with pytest.raises(TypeError):
+            "".join(cli._json(bad))
+
+
+def test_long_verify_json_is_written_in_batches_of_items(monkeypatch):
+    # 10 000 records reach the writer as batches of whole items, no piece
+    # near the whole text, and the stdlib's pure-Python encoder never runs
+    record = statements.run_cell("step_b6", "as_printed",
+                                 {"n": 5, "alpha": 2})
+    records = [record] * 10_000
+    want = json.dumps([r.to_dict() for r in records], indent=2)
+    monkeypatch.setattr(cli, "verify", lambda runs, jobs: records)
+    iterencode = []
+    real = json.JSONEncoder.iterencode
+    monkeypatch.setattr(json.JSONEncoder, "iterencode",
+                        lambda *a, **k: iterencode.append(a) or real(*a, **k))
+    pieces = []
+    monkeypatch.setattr(cli, "_write_out",
+                        lambda it, path: pieces.extend(it))
+    assert main(["verify", "--statement", "step_b6", "--variant",
+                 "as_printed", "--n", "5", "--format", "json"]) == 1
+    text = "".join(pieces)
+    assert text == want
+    assert len(pieces) > 20 and max(map(len, pieces)) < len(text) / 20
+    assert pieces[0] == "[\n  " and pieces[-1] == "\n]"
+    assert all(p.startswith((",\n  {", "{")) and p.endswith("}")
+               for p in pieces[1:-1] if len(p) > 4)
+    assert iterencode == []
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])

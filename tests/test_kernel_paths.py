@@ -400,6 +400,29 @@ def test_evaluation_matches_horner():
             assert ex._pack(p.coeffs, w) == _horner(p, 1 << (8 * w))
 
 
+
+def test_pack_and_unpack_round_trip_cold_and_warm():
+    # at every slot width, with the memo of offsets up to 1 KiB cleared
+    # and then filled; a longer offset is built at each call, never kept
+    rng = random.Random(SEED + 9)
+    for w in range(1, 18):
+        top = 1 << (8 * w - 1)
+        for n in sorted({0, 1, 2, 1024 // w, 1024 // w + 1,
+                         rng.randint(3, 300)}):
+            c = [rng.randrange(1 - top, top) for _ in range(n)]
+            c[:2] = [top - 1, 1 - top][:n]
+            ex._kept_offset.cache_clear()
+            for _ in ("cold", "warm"):
+                v = ex._pack(c, w)
+                assert v == _horner(Poly(c), 1 << (8 * w)), (w, n)
+                assert list(ex._unpack(v, n, w)) == c, (w, n)
+            # both passes and both directions share one offset
+            kept = ex._kept_offset.cache_info()
+            want = (1, 3) if n * w <= 1024 else (0, 0)
+            assert (kept.misses, kept.hits) == want, (w, n)
+            if c and c[-1]:
+                assert ex._unpack(v, n - 1, w) is None, (w, n)
+
 def test_against_sympy():
     sympy = pytest.importorskip("sympy")
     q = sympy.Symbol("q")

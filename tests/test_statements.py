@@ -590,7 +590,8 @@ def test_shared_q_objects_are_built_once_and_as_a_cold_build(monkeypatch):
         statements._b_corner: _ALPHA_CELLS,
     }
     for cache in caches:
-        assert cache.cache_info().maxsize == 128, cache
+        want = 256 if cache is qcombinatorics._fk_sum else 128
+        assert cache.cache_info().maxsize == want, cache
         cache.cache_clear()
     for cell in _proof_step_cells():
         run_cell(*cell)
@@ -606,6 +607,18 @@ def test_shared_q_objects_are_built_once_and_as_a_cold_build(monkeypatch):
             cold = cache.__wrapped__(*key)
             assert cold == warm and repr(cold) == repr(warm), (cache, key)
 
+
+
+def test_one_canonical_sweep_reads_each_fk_sum_once():
+    # the default grids read more f_k sums than the old 128 slots held:
+    # all of them fit now, so none is evicted and built again
+    from qcong import qcombinatorics
+
+    qcombinatorics._fk_sum.cache_clear()
+    for tag in ALL_TAGS:
+        verify(tag)
+    info = qcombinatorics._fk_sum.cache_info()
+    assert info.misses == info.currsize > 128, info
 
 _ALPHA_CELLS = [(n, a) for n in range(3, 16, 2) for a in range(2, n + 1, 2)]
 

@@ -28,7 +28,6 @@ from .euler import (
     euler_numbers,
     euler_polynomial,
     euler_polynomial_value,
-    higher_order_euler,
 )
 from .exact import (
     BothZeroError,
@@ -78,7 +77,6 @@ __all__ = [
     "euler_polynomial_value",
     "factor_q_integer",
     "gcd_rational",
-    "higher_order_euler",
     "is_prime",
     "lehmer_euler_numbers",
     "m_star",

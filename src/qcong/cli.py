@@ -153,7 +153,11 @@ def _write_out(pieces, path):
         if path is not None:
             raise
         # the reader quit: the rest, and the flush at exit, go nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), fh.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, fh.fileno())
+        finally:
+            os.close(devnull)
     finally:
         if path is not None:
             fh.close()

@@ -1,4 +1,4 @@
-"""Euler numbers, Euler polynomials and higher-order Euler numbers.
+"""Euler numbers and Euler polynomials.
 
 Euler numbers and polynomials come from one table, the zigzag numbers
 A_n that Seidel's boustrophedon forms by adding integers; it is kept and
@@ -101,21 +101,3 @@ def euler_polynomial_value(m: int, x) -> Fraction:
         bpow *= b
     return Fraction(acc, den * b ** m)
 
-
-def higher_order_euler(alpha: int, n: int) -> Fraction:
-    """Order-alpha Euler number E_n^(alpha) by the explicit double sum
-
-    sum_k C(alpha+k-1,k) C(alpha+n, n-k) (-1/2)^k sum_j C(k,j) (k-2j)^n.
-    """
-    if alpha < 1 or n < 0:
-        raise ValueError("need alpha >= 1 and n >= 0")
-    total = Fraction(0)
-    for k in range(n + 1):
-        inner = sum(math.comb(k, j) * (k - 2 * j) ** n for j in range(k + 1))
-        total += (
-            math.comb(alpha + k - 1, k)
-            * math.comb(alpha + n, n - k)
-            * Fraction(-1, 2) ** k
-            * inner
-        )
-    return total

@@ -45,7 +45,7 @@ import math
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 
 # Operand length from which Kronecker multiplication beats the schoolbook
 # loop; see the measurement recorded in CHANGES.md.
@@ -248,12 +248,9 @@ class Poly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=()):
-        c = []
-        for x in coeffs:
-            if not isinstance(x, int):
-                raise TypeError(f"integer coefficient required, got {type(x).__name__}")
-            c.append(x)
-        self._c = _strip(c)
+        # operator.index stores a bool as its int and rejects a float,
+        # Fraction or str with TypeError
+        self._c = _strip([index(x) for x in coeffs])
 
     @classmethod
     def monomial(cls, degree: int, coeff: int = 1) -> "Poly":
@@ -307,7 +304,7 @@ class Poly:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = _mk((other,))
+            other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self._c, other._c
@@ -322,7 +319,7 @@ class Poly:
 
     def __sub__(self, other):
         if isinstance(other, int):
-            other = _mk((other,))
+            other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
@@ -394,25 +391,13 @@ class Poly:
             raise NotDivisibleError(f"{other!r} does not divide {self!r} in Z[q]")
         return q
 
-    def try_exact_div(self, other: "Poly"):
-        """Like exact_div but returns None instead of raising."""
-        return self._div_core(other)
-
     def content(self) -> int:
         """gcd of the coefficients, nonnegative; 0 for the zero polynomial."""
-        g = 0
-        for c in self._c:
-            g = math.gcd(g, c)
-            if g == 1:
-                break
-        return g
+        return math.gcd(*self._c)
 
     def primitive(self) -> "Poly":
         """self divided by its content; the zero polynomial maps to itself."""
-        g = self.content()
-        if g <= 1:
-            return self
-        return _mk(tuple([c // g for c in self._c]))
+        return self.scaled_down(self.content() or 1)
 
     def scaled_down(self, d: int) -> "Poly":
         """Divide every coefficient by d; d must divide the content."""
@@ -556,7 +541,7 @@ def _num_den(x):
     if isinstance(x, Poly):
         return x, 1
     if isinstance(x, int):
-        return _mk((x,)), 1
+        return Poly((x,)), 1
     if isinstance(x, Fraction):
         return _mk((x.numerator,)), x.denominator
     raise TypeError(f"cannot interpret {type(x).__name__} as a q-expression")
@@ -632,7 +617,7 @@ def _phi_divides(p: Poly, d: int, phi: Poly) -> bool:
     # Phi_d | q^d - 1, so Phi_d | p exactly when it divides p mod q^d - 1,
     # the fold at k = 1: O(len p) adds, and no division of p
     r = _mk(_fold(p._c, d, 1))
-    return not r or r.try_exact_div(phi) is not None
+    return not r or r._div_core(phi) is not None
 
 
 def _common(a: dict, b: dict):
@@ -671,22 +656,15 @@ def _sum_parts(x: "QExpr", y: "QExpr") -> tuple:
 
     m is the per-d minimum of the two exponent maps, and each side's
     factors are its cofactor prod Phi_d^(e_d - m_d), left unmultiplied.
-    Constant dens are scaled to their lcm; otherwise each p is its num
-    times the other side's den, over the product of both dens.
+    Equal dens are kept; otherwise each p is its num times the other
+    side's den, over the product of both dens.
     """
     s = min(x._shift, y._shift)
     m, xa, xb = _common(x._phis, y._phis)
     a, b = x._num, y._num
     da, db = x._den, y._den
-    if len(da) == 1 and len(db) == 1:
-        # constant dens: over their lcm, by integer scalings
-        u, v = da[0], db[0]
-        g = math.gcd(u, v)
-        if v != g:
-            a = a * (v // g)
-        if u != g:
-            b = b * (u // g)
-        den = _mk((u // g * v,))
+    if da == db:
+        den = da
     else:
         a, b, den = a * db, b * da, da * db
     return ((a, xa, x._shift - s), (b, xb, y._shift - s)), den, s, m
@@ -940,9 +918,7 @@ def _canonical(num: Poly, den: Poly, shift: int, phis: dict) -> tuple:
     num, vn = _q_split(_times(num, tuple(up)))
     den, vd = _q_split(_times(den, tuple(down)))
     t = math.gcd(num.content(), den.content())
-    if t > 1:
-        num = num.scaled_down(t)
-        den = den.scaled_down(t)
+    num, den = num.scaled_down(t), den.scaled_down(t)
     if den.leading < 0:
         num = -num
         den = -den

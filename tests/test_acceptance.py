@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from qcong.congruence import Status
 from qcong.cyclotomic import CycloModulus, cyclotomic, divisors
-from qcong.euler import euler_numbers, euler_polynomial_value, higher_order_euler
+from qcong.euler import euler_numbers, euler_polynomial_value
 from qcong.exact import Poly
 from qcong.lehmer import lehmer_euler_numbers
 from qcong.statements import REGISTRY, run_cell, verify
@@ -165,6 +165,8 @@ def test_criterion_10_cyclotomic_kernel():
 
 
 def test_criterion_11_special_number_generators():
+    from test_lehmer import higher_order_euler
+
     euler = euler_numbers(24)
     w21 = lehmer_euler_numbers(2, 1, 24)
     assert w21 == [Fraction(e) for e in euler]

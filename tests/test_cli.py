@@ -218,6 +218,21 @@ def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(argv, code):
     assert (proc.returncode, proc.stderr) == (code, "")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc/self/fd to count open descriptors")
+def test_closed_stdout_leaks_no_descriptor_in_process(monkeypatch):
+    # main sends the rest of its output to the null device when the
+    # reader has gone; the descriptor it opens for that must not stay open
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(2):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(["compute", "euler-numbers", "--count", "4"]) == 0
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_verify_json_round_trips(capsys):
     code = main(["verify", "--statement", "step_b6", "--variant",
                  "as_printed", "--n", "5", "--format", "json"])
@@ -433,7 +448,8 @@ def test_cli_process_loads_no_pool_or_dataclass_stack():
     # a fresh interpreter without site, so no .pth hook adds imports;
     # jobs=1 runs cells in process and loads not even forkmap, and the
     # forked workers of jobs=2 need neither multiprocessing nor
-    # concurrent.futures
+    # concurrent.futures. The runtime dependencies are the standard
+    # library alone: every top-level module loaded is part of it.
     src = os.path.dirname(os.path.dirname(os.path.abspath(qcong.__file__)))
     code = (
         f"import sys; sys.path.insert(0, {src!r})\n"
@@ -444,11 +460,13 @@ def test_cli_process_loads_no_pool_or_dataclass_stack():
         " if m in sys.modules))\n"
         "qcong.verify('guguo', jobs=2)\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "top = {m.partition('.')[0] for m in sys.modules}\n"
+        "print(sorted(top - {*sys.stdlib_module_names, 'qcong', '__main__'}))\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n[]\n"
+    assert proc.stdout == "[]\n[]\n[]\n"
 
 
 def test_jobs_ignore_start_method_and_digit_limit():

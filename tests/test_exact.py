@@ -22,6 +22,7 @@ from qcong.qcombinatorics import (
     frac_sum, one_minus_qpow, q_binomial, q_fermat_quotient, q_integer,
     q_pochhammer, qbinom, qint,
 )
+from test_kernel_paths import quotient_or_none
 
 Q = Poly([0, 1])
 
@@ -50,10 +51,23 @@ def test_mk_copies_a_list_without_trailing_zeros_once():
 
 
 def test_poly_rejects_non_integer_coeffs():
-    with pytest.raises(TypeError):
-        Poly([1.5])
-    with pytest.raises(TypeError):
-        Poly([Fraction(1, 2)])
+    for bad in (1.5, 1.0, Fraction(1, 2), Fraction(1), "1"):
+        with pytest.raises(TypeError):
+            Poly([bad])
+
+
+def test_bool_coefficients_are_stored_as_ints():
+    p = Poly([True, False, True])
+    assert p.coeffs == (1, 0, 1)
+    assert all(type(c) is int for c in p.coeffs)
+    assert str(p) == "1 + q^2"
+    assert repr(Poly([True])) == "Poly([1])"
+    for poly in (ZERO + True, ZERO - True, Poly.monomial(2, True)):
+        assert all(type(c) is int for c in poly.coeffs)
+    for x in (QExpr(True), QExpr(Poly([1, 1]), True)):
+        assert all(type(c) is int for c in x._num.coeffs + x._den.coeffs)
+        assert all(type(c) is int for c in x.num.coeffs + x.den.coeffs)
+    assert str(QExpr(True)) == "1"
 
 
 def test_poly_int_equality_and_hash():
@@ -96,11 +110,11 @@ def test_exact_div():
     a = Poly([-1, 0, 0, 0, 0, 0, 1])  # q^6 - 1
     b = Poly([-1, 1])                 # q - 1
     assert a.exact_div(b) == Poly([1, 1, 1, 1, 1, 1])
-    assert a.try_exact_div(Poly([1, 1])) == Poly([-1, 1, -1, 1, -1, 1])
-    assert a.try_exact_div(Poly([1, 1, 1])) == Poly([-1, 1, 0, -1, 1])
-    assert a.try_exact_div(Poly([2, 1])) is None
+    assert quotient_or_none(a, Poly([1, 1])) == Poly([-1, 1, -1, 1, -1, 1])
+    assert quotient_or_none(a, Poly([1, 1, 1])) == Poly([-1, 1, 0, -1, 1])
+    assert quotient_or_none(a, Poly([2, 1])) is None
     # divisible over Q but not over Z
-    assert Poly([-1, 0, 1]).try_exact_div(Poly([-2, 2])) is None
+    assert quotient_or_none(Poly([-1, 0, 1]), Poly([-2, 2])) is None
     with pytest.raises(NotDivisibleError):
         Poly([1, 1]).exact_div(Q)
     with pytest.raises(ZeroDivisionError):
@@ -138,10 +152,10 @@ def test_gcd_random_products():
         b = g * Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 5))] + [1])
         got = gcd_rational(a, b)
         # the common factor g must divide the computed gcd
-        assert got.try_exact_div(g.primitive()) is not None or g.primitive() == ONE \
-            or gcd_rational(got, g).degree >= 0
-        assert a.primitive().try_exact_div(got) is not None
-        assert b.primitive().try_exact_div(got) is not None
+        assert (quotient_or_none(got, g.primitive()) is not None
+                or g.primitive() == ONE or gcd_rational(got, g).degree >= 0)
+        assert quotient_or_none(a.primitive(), got) is not None
+        assert quotient_or_none(b.primitive(), got) is not None
 
 
 def test_laurent_normalization():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcong.euler import euler_numbers, higher_order_euler
+from qcong.euler import euler_numbers
 from qcong.lehmer import lehmer_euler_numbers
 
 
@@ -20,6 +20,24 @@ def _series_power_reference(r, alpha, count):
     for _ in range(alpha):
         g = [sum(g[i] * inv[m - i] for i in range(m + 1)) for m in range(count + 1)]
     return [math.factorial(n) * g[n] for n in range(count + 1)]
+
+
+def higher_order_euler(alpha, n):
+    """Order-alpha Euler number E_n^(alpha) by the explicit double sum
+
+    sum_k C(alpha+k-1,k) C(alpha+n, n-k) (-1/2)^k sum_j C(k,j) (k-2j)^n:
+    the reference lehmer_euler_numbers(2, alpha, n) is checked against.
+    """
+    total = Fraction(0)
+    for k in range(n + 1):
+        inner = sum(math.comb(k, j) * (k - 2 * j) ** n for j in range(k + 1))
+        total += (
+            math.comb(alpha + k - 1, k)
+            * math.comb(alpha + n, n - k)
+            * Fraction(-1, 2) ** k
+            * inner
+        )
+    return total
 
 
 def test_order_one_inverts_base_series():
